@@ -54,7 +54,6 @@ from .standard import (
 from .symplectic import (
     Subspace,
     SubspaceClass,
-    SymplecticStructure,
     VectorField,
     classify,
     contains,

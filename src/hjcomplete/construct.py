@@ -3,10 +3,11 @@
 The central algorithm extends the frame {X_H} one Hamiltonian field at a
 time until it has k members, each new field pulled from the coordinate
 differentials of a flow-box chart over the current frame.  The resulting
-chart coordinates y_{k+1}..y_{2s} restrict to a submersion whose level
-sets are tangent to the flow, and inverting (fibration, submersion)
-jointly yields a complete solution of the associated Hamilton-Jacobi
-problem.
+chart coordinates y_{k+1}..y_{2s} restrict to a submersion F whose level
+sets are tangent to the flow.  Inverting (fibration, F) yields a complete
+solution: S(n, lam) = Psi(h, lam), with Psi the chart tower and h the
+head coordinates solving Pi(Psi(h, lam)) = n by one query-seeded Newton
+solve, so S is a pure function of its query.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
 rectifies the next lifted field in the coordinates of level j-1, where
@@ -91,11 +92,7 @@ def _constant_field(vector: np.ndarray, dim_s: int, label: str) -> VectorField:
     n = vector.shape[0]
     zero = np.zeros((n, n))
     return VectorField(
-        lambda x, v=vector: v.copy(),
-        lambda x, z=zero: z.copy(),
-        dim_s,
-        kind="analytic",
-        label=label,
+        lambda x, v=vector: v.copy(), lambda x, z=zero: z.copy(), dim_s, label=label
     )
 
 
@@ -148,10 +145,6 @@ class ChartTower:
     charts: tuple[FlowBoxChart, ...]
     poissons: tuple[Callable, ...]
     dimension_s: int
-
-    @property
-    def depth(self) -> int:
-        return len(self.charts)
 
     def extended(self, chart: FlowBoxChart) -> "ChartTower":
         lam = _level_poisson(chart, self.poissons[-1])
@@ -359,10 +352,6 @@ class FrameState:
     def dimension_s(self) -> int:
         return self.fibration.dimension_s
 
-    @property
-    def chart(self) -> FlowBoxChart:
-        return self.tower.charts[-1]
-
 
 def init_frame(
     hamiltonian: ScalarField,
@@ -422,14 +411,7 @@ def _lifted_x_field(
     def jac(x: np.ndarray) -> np.ndarray:
         return fd_jacobian(evaluator, x, fd_step)
 
-    return VectorField(
-        evaluator,
-        jac,
-        dim_s,
-        kind="procedural",
-        jacobian_is_fd=True,
-        label=f"lift[y{b + 1}]",
-    )
+    return VectorField(evaluator, jac, dim_s, label=f"lift[y{b + 1}]")
 
 
 def _validate_frame_invariants(state: FrameState) -> None:
@@ -546,8 +528,6 @@ def extend_frame(state: FrameState) -> FrameState:
             lambda z: fn(z)[:, b], y, h
         ),
         state.dimension_s,
-        kind="procedural",
-        jacobian_is_fd=True,
         label=f"ghat[y{best_b + 1}]",
     )
     try:
@@ -842,6 +822,81 @@ def _integrals_map(F: Union[MapField, FirstIntegralSubmersion]) -> MapField:
     return F.integrals if isinstance(F, FirstIntegralSubmersion) else F
 
 
+def _memo_last(fn: Callable) -> Callable:
+    """fn of float arrays, memoized on the exact bytes of its last query."""
+    memo: dict = {}
+
+    def call(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        key = b"|".join(a.tobytes() for a in args)
+        if key not in memo:
+            memo.clear()
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return call
+
+
+def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed):
+    """S(n, lam) = Psi(h, lam), where the head h solves Pi(Psi(h, lam)) = n.
+
+    The start h0 = A0^{-1} (n - Pi(m) - B0 lam), from [A0 | B0] = DPi(m)
+    DPsi(0) at Psi(0) = m, depends on the query alone; DS = DPsi M^{-1}
+    with M = [DPi DPsi ; 0 | I].  Returns solve(n, lam) -> (S, DS), the
+    block A0 that must be regular, the box centre and initial half-edges.
+    """
+    tower, k, dim = F.state.tower, F.k, 2 * F.dimension_s
+    AB = fibration.jacobian(m) @ tower.forward_and_jacobian(np.zeros(dim))[1]
+    pi_m = fibration.value(m)
+    # F(Psi(y)) = y_tail, so the reach over the chart ball needs no inversion.
+    radius = 0.8 * min(c.domain_radius for c in tower.charts)
+    span = np.zeros(dim)
+    for y in np.random.default_rng(seed ^ 0x5EED).uniform(-radius, radius, (32, dim)):
+        reach = np.concatenate([fibration.value(tower.forward(y)) - pi_m, y[k:]])
+        span = np.maximum(span, np.abs(reach))
+
+    def solve(n: np.ndarray, lam: np.ndarray):
+        # one chart pass per iterate serves both the residual and the Jacobian
+        chart = _memo_last(
+            lambda h: tower.forward_and_jacobian(np.concatenate([h, lam]))
+        )
+
+        def jacobian(h: np.ndarray) -> np.ndarray:
+            x, D = chart(h)
+            return fibration.jacobian(x) @ D[:, :k]
+
+        h0 = np.linalg.solve(AB[:, :k], n - pi_m - AB[:, k:] @ lam)
+        h = newton_solve(
+            lambda h: fibration.value(chart(h)[0]) - n, jacobian, h0,
+            tol=tol.newton, max_iter=50,
+        )
+        x, D = chart(h)
+        M = np.vstack([fibration.jacobian(x) @ D, np.eye(dim)[k:]])
+        return x, D @ np.linalg.inv(M)
+
+    return solve, AB[:, :k], np.concatenate([pi_m, np.zeros(dim - k)]), 0.5 * span
+
+
+def _stacked_inverse(fibration: MapField, integrals: MapField, m, tol):
+    """Newton on the stacked map (Pi, F) from m; returns as _tower_inverse."""
+
+    def value(x: np.ndarray) -> np.ndarray:
+        return np.concatenate([fibration.value(x), integrals.value(x)])
+
+    def jac(x: np.ndarray) -> np.ndarray:
+        return np.vstack([fibration.jacobian(x), integrals.jacobian(x)])
+
+    def solve(n: np.ndarray, lam: np.ndarray):
+        target = np.concatenate([n, lam])
+        x = newton_solve(
+            lambda x: value(x) - target, jac, m, tol=tol.newton, max_iter=50
+        )
+        return x, np.linalg.inv(jac(x))
+
+    center = value(m)
+    return solve, jac(m), center, 0.15 * (1.0 + np.abs(center))
+
+
 def solution_from_integrals(
     fibration: MapField,
     F: Union[MapField, FirstIntegralSubmersion],
@@ -852,100 +907,58 @@ def solution_from_integrals(
 ) -> CompleteSolution:
     """Invert (fibration, integrals) into a complete solution.
 
-    The stacked map is inverted by Newton iteration with continuation
-    from the most recent solve.  Domain boxes start from the image of the
-    construction chart (or a unit-scale default for analytic inputs) and
-    are halved until every validation probe converges; shrinking below
-    the minimum edge is an error.
+    A constructed submersion's integrals are the tail coordinates of its
+    chart tower Psi, so S(n, lam) = Psi(h, lam) takes one k-dimensional
+    Newton solve for the head h and no tower inversion.  An analytic map
+    is inverted by Newton iteration on the stacked map.  Every solve is
+    query-seeded, so S is a pure function of (n, lam).  Domain boxes start
+    from the image of the construction chart (or a unit-scale default for
+    analytic inputs) and are halved until every validation probe
+    converges; shrinking below the minimum edge is an error.
     """
     m = np.asarray(basepoint, dtype=float)
     integrals = _integrals_map(F)
     s = integrals.dimension_s
     k = fibration.target_dim
-    l = integrals.target_dim
-    if k + l != 2 * s:
+    if k + integrals.target_dim != 2 * s:
         raise ValueError("fibration and integrals must jointly have 2s components")
-
-    def stacked_value(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([fibration.value(x), integrals.value(x)])
-
-    def stacked_jac(x: np.ndarray) -> np.ndarray:
-        return np.vstack([fibration.jacobian(x), integrals.jacobian(x)])
-
-    DG = stacked_jac(m)
-    if numerical_rank(DG, tolerances.rank) != 2 * s:
+    if isinstance(F, FirstIntegralSubmersion):
+        solve, J0, center, half = _tower_inverse(fibration, F, m, tolerances, seed)
+    else:
+        solve, J0, center, half = _stacked_inverse(fibration, integrals, m, tolerances)
+    if numerical_rank(J0, tolerances.rank) != J0.shape[0]:
         raise TransversalityError(
             "stacked Jacobian of (fibration, integrals) is singular at the base point"
         )
-    center = stacked_value(m)
-
-    # Initial half-edges: reach of the stacked map over the construction
-    # chart's validated ball, or a fixed fraction of scale for analytic F.
-    if isinstance(F, FirstIntegralSubmersion):
-        span = np.zeros(2 * s)
-        for x in F.sample_points(32, seed=seed ^ 0x5EED, margin=0.8):
-            span = np.maximum(span, np.abs(stacked_value(x) - center))
-        half = 0.5 * span
-    else:
-        half = 0.15 * (1.0 + np.abs(center))
     half = np.maximum(half, _MIN_BOX_EDGE / 2.0)
-
-    last: dict = {"x": m.copy()}
-
-    def solve_point(target: np.ndarray) -> np.ndarray:
-        def residual(x: np.ndarray) -> np.ndarray:
-            return stacked_value(x) - target
-
-        try:
-            return newton_solve(
-                residual,
-                stacked_jac,
-                last["x"],
-                tol=tolerances.newton,
-                max_iter=50,
-            )
-        except (NewtonError, ChartError, FlowError):
-            x = newton_solve(
-                residual, stacked_jac, m, tol=tolerances.newton, max_iter=50
-            )
-            return x
-
-    def evaluator(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x = solve_point(np.concatenate([n, lam]))
-        last["x"] = x
-        return x
-
-    def jacobian(n: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        x = evaluator(n, lam)
-        return np.linalg.inv(stacked_jac(x))
 
     # Validate by probing the box; halve on any failure.
     rng = np.random.default_rng(seed)
     probe_dirs = rng.uniform(-1.0, 1.0, size=(validation_probes, 2 * s))
     probe_dirs[np.abs(probe_dirs) < 0.25] = 0.25  # keep probes near faces
     while True:
-        ok = True
-        for d in probe_dirs:
-            target = center + d * half
-            try:
-                x = solve_point(target)
-            except (NewtonError, ChartError, FlowError):
-                ok = False
-                break
-            last["x"] = x
-        if ok:
+        try:
+            for d in probe_dirs:
+                target = center + d * half
+                solve(target[:k], target[k:])
             break
-        half = half / 2.0
-        if np.min(2.0 * half) < _MIN_BOX_EDGE:
-            raise DualityError(
-                "solution domain shrank below the minimum box edge during validation"
-            )
-        last["x"] = m.copy()
+        except (NewtonError, ChartError, FlowError):
+            half = half / 2.0
+            if np.min(2.0 * half) < _MIN_BOX_EDGE:
+                raise DualityError(
+                    "solution domain shrank below the minimum box edge during validation"
+                )
 
+    solved = _memo_last(solve)  # S and DS at one point share a solve
     n_box = np.column_stack([center[:k] - half[:k], center[:k] + half[:k]])
     lam_box = np.column_stack([center[k:] - half[k:], center[k:] + half[k:]])
     return CompleteSolution(
-        s, n_box, lam_box, evaluator, jacobian, label="inverted (fibration, integrals)"
+        s,
+        n_box,
+        lam_box,
+        lambda n, lam: solved(n, lam)[0].copy(),
+        lambda n, lam: solved(n, lam)[1].copy(),
+        label="inverted (fibration, integrals)",
     )
 
 
@@ -956,46 +969,33 @@ def integrals_from_solution(
     """Read first integrals off a complete solution.
 
     Components are the lambda-parameters of the Newton inversion of the
-    solution map; gradients come from the inverse Jacobian.  All
-    components share one continuation cache.
+    solution map; gradients come from the inverse Jacobian.  Each solve is
+    query-seeded from the box midpoint, and all components share a memo
+    of the last point.
     """
     s = solution.dimension_s
     k, l = solution.k, solution.l
-    mid = np.concatenate(
-        [solution.n_box.mean(axis=1), solution.lambda_box.mean(axis=1)]
-    )
-    cache: dict = {"y": mid.copy(), "key": None, "x": None}
+    mid = np.vstack([solution.n_box, solution.lambda_box]).mean(axis=1)
 
+    # Newton trial steps may leave the validated boxes briefly, so the
+    # box-checked public interface is bypassed here.
+    @_memo_last
     def invert(x: np.ndarray) -> np.ndarray:
-        key = x.tobytes()
-        if cache["key"] == key:
-            return cache["x"]
-
-        # Newton trial steps may leave the validated boxes briefly, so
-        # the box-checked public interface is bypassed here.
-        def residual(y: np.ndarray) -> np.ndarray:
-            return solution._evaluator(y[:k], y[k:]) - x
-
-        def jac(y: np.ndarray) -> np.ndarray:
-            return solution._jacobian(y[:k], y[k:])
-
-        try:
-            y = newton_solve(residual, jac, cache["y"], tol=tolerances.newton)
-        except NewtonError:
-            y = newton_solve(residual, jac, mid, tol=tolerances.newton)
-        cache.update(y=y, key=key, x=y)
-        return y
+        return newton_solve(
+            lambda y: solution._evaluator(y[:k], y[k:]) - x,
+            lambda y: solution._jacobian(y[:k], y[k:]),
+            mid,
+            tol=tolerances.newton,
+        )
 
     comps = []
     for i in range(l):
         def value(x, i=i):
-            return float(invert(np.asarray(x, dtype=float))[k + i])
+            return float(invert(x)[k + i])
 
         def gradient(x, i=i):
-            x = np.asarray(x, dtype=float)
             y = invert(x)
-            DS = solution._jacobian(y[:k], y[k:])
-            return np.linalg.inv(DS)[k + i].copy()
+            return np.linalg.inv(solution._jacobian(y[:k], y[k:]))[k + i].copy()
 
         comps.append(ProceduralScalar(value, gradient, s, label=f"lambda{i + 1}"))
     return MapField(tuple(comps), s)

@@ -628,15 +628,6 @@ class ScalarField:
             raise EvaluationError("non finite gradient", self.source)
         return grad
 
-    def value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        vals = _as_floats(x, self.dim)
-        basis = _basis(self.dim)
-        env = tuple(Dual(v, basis[i]) for i, v in enumerate(vals))
-        out = _evaluate(self.ast, env, self.dimension_s)
-        if isinstance(out, Dual):
-            return out.v, np.array(out.d, dtype=float)
-        return float(out), np.zeros(self.dim)
-
     def hessian(self, x) -> np.ndarray:
         vals = _as_floats(x, self.dim)
         basis = _basis(self.dim)

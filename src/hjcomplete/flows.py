@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .newton import NewtonError, newton_solve
-from .symplectic import VectorField, apply_structure, fd_jacobian, numerical_rank
+from .symplectic import VectorField, numerical_rank
 
 __all__ = [
     "FlowError",
@@ -35,7 +35,6 @@ __all__ = [
     "flow",
     "flow_with_tangent",
     "FlowBoxChart",
-    "hamiltonian_lift",
 ]
 
 
@@ -112,7 +111,7 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
     h = sign * min(span, max(1e-6, 0.01 * scale0))
     t = 0.0
     steps = 0
-    while abs(t - t_end) > _MIN_STEP_FRACTION * span:
+    while True:
         steps += 1
         if steps > settings.max_steps:
             raise FlowError("step count exceeded in adaptive integration")
@@ -132,6 +131,8 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
             t += h
             x = x5
             f0 = None  # force fresh slope next step
+            if abs(t - t_end) <= _MIN_STEP_FRACTION * span:
+                return x
         if err == 0.0:
             factor = 5.0
         else:
@@ -140,7 +141,6 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
         if abs(h) < _MIN_STEP_FRACTION * max(1.0, span):
             # adaptivity thrashed; redo the whole trajectory at a fixed step
             return _rk4_fixed(rhs, x0, t_end, settings.step, settings.max_steps)
-    return x
 
 
 def flow(
@@ -196,8 +196,7 @@ class FlowBoxChart:
     basepoint and the frame live in the ambient coordinates; slice_basis
     columns span a transversal through the base point.  domain_radius is
     the validated radius of the coordinate box.  poisson, when given, is
-    the ambient Poisson matrix field (defaults to the canonical one) and
-    is what hamiltonian_lift inverts the form against.
+    the ambient Poisson matrix field (defaults to the canonical one).
     """
 
     basepoint: np.ndarray
@@ -349,44 +348,3 @@ class FlowBoxChart:
             )
         except NewtonError as exc:
             raise ChartError(f"point outside chart domain: {exc}") from exc
-
-    def coordinate_differential(self, a: int, p) -> np.ndarray:
-        """Row a (0 based) of the inverse Jacobian at p: the covector dy_a."""
-        y = self.inverse(p)
-        _, D = self.forward_and_jacobian(y)
-        e = np.zeros(self.dim)
-        e[a] = 1.0
-        return np.linalg.solve(D.T, e)
-
-    def hamiltonian_lift(self, a: int) -> VectorField:
-        """The field X of the chart coordinate y_a: form(X, .) = dy_a.
-
-        Against the canonical structure X = J dy_a^T; against a general
-        ambient Poisson matrix field X = Lambda dy_a^T.  The Jacobian is a
-        flagged central difference of the evaluator.
-        """
-        if not 0 <= a < self.dim:
-            raise ValueError("coordinate index out of range")
-        poisson = self.poisson
-
-        def evaluator(x: np.ndarray) -> np.ndarray:
-            dy = self.coordinate_differential(a, x)
-            if poisson is None:
-                return apply_structure(dy)
-            return poisson(x) @ dy
-
-        def jac(x: np.ndarray) -> np.ndarray:
-            return fd_jacobian(evaluator, x, self.tolerances.fd_step)
-
-        return VectorField(
-            evaluator,
-            jac,
-            self.dim // 2,
-            kind="procedural",
-            jacobian_is_fd=True,
-            label=f"lift[y_{a}]",
-        )
-
-
-def hamiltonian_lift(chart: FlowBoxChart, a: int) -> VectorField:
-    return chart.hamiltonian_lift(a)

@@ -257,23 +257,22 @@ def load_config(ref: str) -> RunConfig:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A registry entry: a config dictionary plus test expectations."""
+    """A registry entry: a named config dictionary."""
 
     name: str
     config: dict
-    expected_pass: bool
-    notes: str = ""
 
 
-def _scenario(name, config, notes="") -> Scenario:
+def _scenario(name, config) -> Scenario:
     config = dict(config)
     config["scenario"] = name
-    return Scenario(name, config, expected_pass=True, notes=notes)
+    return Scenario(name, config)
 
 
 REGISTRY: dict[str, Scenario] = {
     sc.name: sc
     for sc in (
+        # momentum is the integral; the solution map is affine
         _scenario(
             "free_particle_s1",
             {
@@ -283,8 +282,8 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 1,
                 "base_point": [0.0, 1.0],
             },
-            "momentum is the integral; the solution map is affine",
         ),
+        # two commuting translations; exercises one frame extension
         _scenario(
             "free_particle_s2",
             {
@@ -294,8 +293,8 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 2,
                 "base_point": [0.1, -0.2, 1.0, 0.6],
             },
-            "two commuting translations; exercises one frame extension",
         ),
+        # circular flow; base point off the turning circle
         _scenario(
             "harmonic_s1",
             {
@@ -305,8 +304,8 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 1,
                 "base_point": [0.0, 1.0],
             },
-            "circular flow; base point off the turning circle",
         ),
+        # isotropic oscillator with a full k = s = 2 construction
         _scenario(
             "harmonic_s2",
             {
@@ -316,8 +315,8 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 2,
                 "base_point": [0.3, 0.1, 1.0, 0.7],
             },
-            "isotropic oscillator with a full k = s = 2 construction",
         ),
+        # incommensurate frequencies; no resonant shortcut
         _scenario(
             "anisotropic_s2",
             {
@@ -327,8 +326,8 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 2,
                 "base_point": [0.3, 0.1, 1.0, 0.7],
             },
-            "incommensurate frequencies; no resonant shortcut",
         ),
+        # position-dependent cometric; k = 1 keeps one flow level
         _scenario(
             "nonflat_cometric_s2",
             {
@@ -341,7 +340,6 @@ REGISTRY: dict[str, Scenario] = {
                 "auto_k": 1,
                 "base_point": [0.2, 0.1, 0.9, 0.5],
             },
-            "position-dependent cometric; k = 1 keeps one flow level",
         ),
     )
 }

@@ -21,7 +21,6 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import ProceduralScalar, ScalarField
 
 __all__ = [
-    "SymplecticStructure",
     "structure_matrix",
     "omega",
     "apply_structure",
@@ -54,18 +53,6 @@ def apply_structure(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     s = u.shape[0] // 2
     return np.concatenate([u[s:], -u[:s]])
-
-
-@dataclass(frozen=True)
-class SymplecticStructure:
-    dimension_s: int
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return structure_matrix(self.dimension_s)
-
-    def omega(self, u, v) -> float:
-        return omega(u, v)
 
 
 def omega(u, v) -> float:
@@ -197,19 +184,11 @@ def classify(V: Subspace) -> SubspaceClass:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field on R^{2s} with an explicit Jacobian evaluator.
-
-    kind records how the field came to be: 'analytic' fields evaluate a
-    closed form (dual number derivatives, exact), 'procedural' fields wrap
-    a numerical construction.  jacobian_is_fd marks Jacobians obtained by
-    central differences of the evaluator; reports surface the flag.
-    """
+    """A vector field on R^{2s} with an explicit Jacobian evaluator."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     jacobian_evaluator: Callable[[np.ndarray], np.ndarray]
     dimension_s: int
-    kind: str = "analytic"
-    jacobian_is_fd: bool = False
     label: str = ""
 
     @property
@@ -252,7 +231,7 @@ def hamiltonian_vf(
     In block form X_f = (df/dp, -df/dq), so for example the field of 'q1'
     is the constant vector with -1 in the p1 slot.  Parsed scalars get an
     exact Jacobian through second order duals; procedural scalars fall
-    back to a flagged central difference Jacobian.
+    back to a central difference Jacobian.
     """
     s = f.dimension_s
 
@@ -265,19 +244,12 @@ def hamiltonian_vf(
             H = f.hessian(x)
             return np.vstack([H[s:], -H[:s]])
 
-        return VectorField(evaluator, jacobian, s, kind="analytic", label=f.source)
+        return VectorField(evaluator, jacobian, s, label=f.source)
 
     def jacobian_fd(x: np.ndarray) -> np.ndarray:
         return fd_jacobian(evaluator, x, tolerances.fd_step)
 
-    return VectorField(
-        evaluator,
-        jacobian_fd,
-        s,
-        kind="procedural",
-        jacobian_is_fd=True,
-        label=getattr(f, "label", ""),
-    )
+    return VectorField(evaluator, jacobian_fd, s, label=getattr(f, "label", ""))
 
 
 def poisson(f: ScalarLike, g: ScalarLike, x) -> float:

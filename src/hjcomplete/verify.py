@@ -183,8 +183,6 @@ def _kernel_complement_fields(
                 ev,
                 lambda x, f=ev, h=tolerances.fd_step: fd_jacobian(f, x, h),
                 s,
-                kind="procedural",
-                jacobian_is_fd=True,
                 label=f"X[{getattr(comp, 'label', '') or i}]",
             )
         )

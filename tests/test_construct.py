@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hjcomplete import construct, flows
 from hjcomplete.config import Tolerances
 from hjcomplete.construct import (
     CompleteSolution,
@@ -14,6 +15,7 @@ from hjcomplete.construct import (
     FrameExtensionError,
     HypothesisError,
     TransversalityError,
+    _lifted_x_field,
     build_fibration,
     build_first_integrals,
     check_assumptions,
@@ -25,6 +27,7 @@ from hjcomplete.construct import (
 from hjcomplete.expr import MapField, ScalarField
 from hjcomplete.flows import flow
 from hjcomplete.symplectic import (
+    apply_structure,
     hamiltonian_vf,
     lie_bracket,
     numerical_rank,
@@ -168,6 +171,30 @@ def test_tower_inversion_round_trip(harmonic_s2):
     assert index.solve(x) is index.solve(x)
 
 
+def test_tower_coordinate_differential_is_inverse_jacobian_row(harmonic_s2):
+    # dy_a at x = Psi(y), read off the tower inversion, pairs with DPsi(y)
+    # to give the a-th unit row
+    _, _, _, F, _ = harmonic_s2
+    tower, index = F.state.tower, F.index
+    radius = 0.25 * min(c.domain_radius for c in tower.charts)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        x, D = tower.forward_and_jacobian(rng.uniform(-radius, radius, size=4))
+        dy = index.solve(x, need_jacobian=True).jac_inv
+        assert np.max(np.abs(dy @ D - np.eye(4))) < 1e-8
+
+
+def test_lifted_field_is_hamiltonian_field_of_coordinate(harmonic_s2):
+    # the lift of y_b, read off the tower's Poisson matrix, is J dy_b^T
+    _, _, _, F, _ = harmonic_s2
+    tower, index = F.state.tower, F.index
+    for x in F.sample_points(3, seed=19):
+        dy = index.solve(x, need_jacobian=True).jac_inv
+        for b in range(4):
+            lifted = _lifted_x_field(tower, index, b, 2, TOL.fd_step)
+            assert np.max(np.abs(lifted(x) - apply_structure(dy[b]))) < 1e-8
+
+
 # ---------------------------------------------------------------------------
 # first integrals
 
@@ -289,6 +316,55 @@ def test_duality_round_trip(free_s1, harmonic_s2):
             x = solution(n, lam)
             assert np.max(np.abs(Pi.value(x) - n)) < 1e-8
             assert np.max(np.abs(F.integrals.value(x) - lam)) < 1e-8
+
+
+@pytest.mark.parametrize("pipeline", ["free_s1", "harmonic_s2"])
+def test_solution_is_independent_of_query_order(pipeline, request):
+    *_, solution = request.getfixturevalue(pipeline)
+    ns, lams = solution.sample_domain(12, seed=31)
+
+    def evaluate(order):
+        return {i: (solution(ns[i], lams[i]), solution.jacobian(ns[i], lams[i]))
+                for i in order}
+
+    forward = evaluate(range(12))
+    backward = evaluate(reversed(range(12)))
+    for i in range(12):
+        assert np.array_equal(forward[i][0], backward[i][0])
+        assert np.array_equal(forward[i][1], backward[i][1])
+
+
+def test_solution_queries_make_one_newton_solve_and_no_inversion(
+    harmonic_s2, monkeypatch
+):
+    _, _, _, F, solution = harmonic_s2
+    inversions = []
+    for cls, name in (
+        (construct.TowerIndex, "solve"),
+        (construct.ChartTower, "solve_stack"),
+        (flows.FlowBoxChart, "inverse"),
+    ):
+        def counted(self, *args, _fn=getattr(cls, name), _name=name, **kwargs):
+            inversions.append(_name)
+            return _fn(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    solves = []
+    newton = construct.newton_solve
+
+    def counted_newton(residual, jacobian, x0, **kwargs):
+        solves.append(len(x0))
+        return newton(residual, jacobian, x0, **kwargs)
+
+    monkeypatch.setattr(construct, "newton_solve", counted_newton)
+    ns, lams = solution.sample_domain(3, seed=33, margin=0.8)
+    for n, lam in zip(ns, lams):
+        x = solution(n, lam)
+        DS = solution.jacobian(n, lam)
+        assert np.max(np.abs(x[:2] - n)) < 1e-8
+        assert DS.shape == (4, 4)
+    assert inversions == []
+    assert solves == [F.k] * 3
 
 
 def test_duality_requires_transversality():

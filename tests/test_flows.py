@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hjcomplete import flows
 from hjcomplete.config import Tolerances
 from hjcomplete.expr import ScalarField
 from hjcomplete.flows import (
@@ -105,6 +106,22 @@ def test_step_budget_enforced():
         flow(X, np.array([1.0, 0.0]), 50.0, IntegratorSettings(max_steps=10))
 
 
+def test_finished_trajectory_skips_fixed_step_fallback(monkeypatch):
+    """A trajectory that reaches its end stops there; the RK4 redo is only
+    for step underflow, which a tiny span alone must not trigger."""
+
+    def refuse(*args):
+        raise AssertionError("fixed-step fallback ran")
+
+    monkeypatch.setattr(flows, "_rk4_fixed", refuse)
+    X = _harmonic_field()
+    x0 = np.array([0.3, -0.7])
+    assert np.max(np.abs(flow(X, x0, 1e-18) - x0)) < 1e-15
+    c, s = np.cos(0.3), np.sin(0.3)
+    exact = np.array([0.3 * c - 0.7 * s, -0.3 * s - 0.7 * c])
+    assert np.max(np.abs(flow(X, x0, 0.3) - exact)) < 1e-8
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         IntegratorSettings(method="euler")
@@ -146,16 +163,6 @@ def test_chart_jacobian_columns():
         assert np.max(np.abs(D[:, j] - col)) < 5e-5
 
 
-def test_coordinate_differential_is_inverse_jacobian_row():
-    chart = _harmonic_chart()
-    y = np.array([0.12, -0.07])
-    x, D = chart.forward_and_jacobian(y)
-    for a in range(2):
-        row = chart.coordinate_differential(a, x)
-        # dy_a pairs with D to give the a-th unit row
-        assert np.max(np.abs(D.T @ row - np.eye(2)[a])) < 1e-8
-
-
 def test_straightening_pushes_frame_to_unit_vector():
     """The defining property: inverse(flow along X for time t) moves only
     the first chart coordinate, at unit speed."""
@@ -166,15 +173,6 @@ def test_straightening_pushes_frame_to_unit_vector():
     for t in (0.1, 0.25):
         yt = chart.inverse(flow(X, x0, t))
         assert np.max(np.abs(yt - (y0 + np.array([t, 0.0])))) < 1e-8
-
-
-def test_trivial_chart_lift_recovers_hamiltonian_field():
-    # with no frame the chart is a translate of the identity, so the lift
-    # of coordinate 0 (= q1) is X_{q1} = (0, -1)
-    chart = FlowBoxChart.build(np.zeros(2), [])
-    lifted = chart.hamiltonian_lift(0)
-    val = lifted(np.array([0.2, -0.4]))
-    assert np.max(np.abs(val - np.array([0.0, -1.0]))) < 1e-8
 
 
 def test_dependent_frame_rejected():

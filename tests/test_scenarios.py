@@ -155,9 +155,8 @@ def test_registry_scenarios_are_well_posed():
         "anisotropic_s2",
         "nonflat_cometric_s2",
     }
-    for name, scenario in REGISTRY.items():
+    for name in REGISTRY:
         cfg = parse_config({"scenario": name})
-        assert scenario.expected_pass
         m = np.array(cfg.base_point)
         H = cfg.hamiltonian()
         fib = cfg.fibration()
