@@ -7,7 +7,10 @@ chart coordinates y_{k+1}..y_{2s} restrict to a submersion F whose level
 sets are tangent to the flow.  Inverting (fibration, F) yields a complete
 solution: S(n, lam) = Psi(h, lam), with Psi the chart tower and h the
 head coordinates solving Pi(Psi(h, lam)) = n by one query-seeded Newton
-solve, so S is a pure function of its query.
+solve.  Every inversion here (the tower for F, (Pi, F) for S, and S for
+its integrals) starts from a point that depends on its query alone and is
+memoized on the query's exact bytes (_memo), so each map is a pure
+function and the memo only saves time.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
 rectifies the next lifted field in the coordinates of level j-1, where
@@ -195,44 +198,52 @@ class ChartTower:
         return stack
 
 
+_MEMO_LIMIT = 50_000
+
+
+def _memo(fn: Callable) -> Callable:
+    """fn of float arrays, memoized on the exact bytes of its arguments.
+
+    fn must be pure, so a hit returns what a fresh call would; the memo
+    only saves time.  It is cleared whole when it reaches _MEMO_LIMIT.
+    """
+    memo: dict = {}
+
+    def call(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        key = b"|".join(a.tobytes() for a in args)
+        if key not in memo:
+            if len(memo) >= _MEMO_LIMIT:
+                memo.clear()
+            memo[key] = fn(*args)
+        return memo[key]
+
+    return call
+
+
 @dataclass
 class _TowerEntry:
-    stack: list[np.ndarray]
-    jac: Optional[np.ndarray] = None  # D(Psi) at the solved coordinates
+    coords: np.ndarray  # deepest-level coordinates
+    jac: Optional[np.ndarray] = None  # D(Psi) at coords
     jac_inv: Optional[np.ndarray] = None
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.stack[-1]
 
 
 class TowerIndex:
-    """Memoized inversion of a chart tower.
+    """Query-seeded, memoized inversion of a chart tower.
 
-    Solutions are keyed by the raw bytes of the query point, so repeat
-    evaluations (e.g. value and gradient of several integral components
-    at one probe) cost a single solve.  The most recent solution seeds
-    the next Newton run; a failed warm start falls back to a cold one,
-    which the chart's validated radius guarantees for in-domain points.
+    Every chart's Newton solve starts from its own origin, so the
+    coordinates of x depend on x alone.  Solutions are memoized on the
+    exact bytes of x, so the value and gradient of all integral components
+    at one probe cost a single solve.  The chart's validated radius
+    guarantees convergence for in-domain points.
     """
-
-    _MEMO_LIMIT = 50_000
 
     def __init__(self, tower: ChartTower):
         self.tower = tower
-        self._memo: dict[bytes, _TowerEntry] = {}
-        self._last: Optional[_TowerEntry] = None
+        self._solved = _memo(lambda x: self._solve_fresh(x))
 
     def solve(self, x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        entry = self._memo.get(key)
-        if entry is None:
-            entry = self._solve_fresh(x)
-            if len(self._memo) >= self._MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = entry
-        self._last = entry
+        entry = self._solved(x)
         if need_jacobian and entry.jac is None:
             _, D = self.tower.forward_and_jacobian(entry.coords)
             entry.jac = D
@@ -240,12 +251,7 @@ class TowerIndex:
         return entry
 
     def _solve_fresh(self, x: np.ndarray) -> _TowerEntry:
-        if self._last is not None:
-            try:
-                return _TowerEntry(self.tower.solve_stack(x, self._last.stack))
-            except (ChartError, NewtonError, FlowError):
-                pass
-        return _TowerEntry(self.tower.solve_stack(x))
+        return _TowerEntry(self.tower.solve_stack(x)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +566,9 @@ class FirstIntegralSubmersion:
 
     integrals is a map with l = 2s - k procedural components: the tail
     coordinates of the final chart tower.  Component values and gradients
-    share one memoized tower inversion, so evaluating all of them at a
-    point costs a single Newton solve.
+    share one query-seeded, memoized tower inversion, so they depend on
+    the point alone and evaluating all of them at a point costs a single
+    tower solve.
     """
 
     integrals: MapField
@@ -822,21 +829,6 @@ def _integrals_map(F: Union[MapField, FirstIntegralSubmersion]) -> MapField:
     return F.integrals if isinstance(F, FirstIntegralSubmersion) else F
 
 
-def _memo_last(fn: Callable) -> Callable:
-    """fn of float arrays, memoized on the exact bytes of its last query."""
-    memo: dict = {}
-
-    def call(*args):
-        args = [np.asarray(a, dtype=float) for a in args]
-        key = b"|".join(a.tobytes() for a in args)
-        if key not in memo:
-            memo.clear()
-            memo[key] = fn(*args)
-        return memo[key]
-
-    return call
-
-
 def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed):
     """S(n, lam) = Psi(h, lam), where the head h solves Pi(Psi(h, lam)) = n.
 
@@ -857,9 +849,7 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
 
     def solve(n: np.ndarray, lam: np.ndarray):
         # one chart pass per iterate serves both the residual and the Jacobian
-        chart = _memo_last(
-            lambda h: tower.forward_and_jacobian(np.concatenate([h, lam]))
-        )
+        chart = _memo(lambda h: tower.forward_and_jacobian(np.concatenate([h, lam])))
 
         def jacobian(h: np.ndarray) -> np.ndarray:
             x, D = chart(h)
@@ -949,7 +939,7 @@ def solution_from_integrals(
                     "solution domain shrank below the minimum box edge during validation"
                 )
 
-    solved = _memo_last(solve)  # S and DS at one point share a solve
+    solved = _memo(solve)  # S and DS at one point share a solve
     n_box = np.column_stack([center[:k] - half[:k], center[:k] + half[:k]])
     lam_box = np.column_stack([center[k:] - half[k:], center[k:] + half[k:]])
     return CompleteSolution(
@@ -970,8 +960,8 @@ def integrals_from_solution(
 
     Components are the lambda-parameters of the Newton inversion of the
     solution map; gradients come from the inverse Jacobian.  Each solve is
-    query-seeded from the box midpoint, and all components share a memo
-    of the last point.
+    query-seeded from the box midpoint and memoized, so all components at
+    a point share one solve.
     """
     s = solution.dimension_s
     k, l = solution.k, solution.l
@@ -979,7 +969,7 @@ def integrals_from_solution(
 
     # Newton trial steps may leave the validated boxes briefly, so the
     # box-checked public interface is bypassed here.
-    @_memo_last
+    @_memo
     def invert(x: np.ndarray) -> np.ndarray:
         return newton_solve(
             lambda y: solution._evaluator(y[:k], y[k:]) - x,

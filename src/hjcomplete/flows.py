@@ -2,10 +2,10 @@
 
 The integrator is an embedded Runge-Kutta-Fehlberg 4(5) pair propagating
 the fifth order solution under a per step error test.  When adaptive step
-control underflows the trajectory is redone with a fixed step classical
-RK4, so stiff corners degrade accuracy instead of aborting a run.  The
-tangent variant integrates the variational equation alongside the state
-and returns the flow differential.
+control underflows it raises FlowError rather than trade the tolerance for
+a coarser answer; a fixed step classical RK4 is available only on request
+(method "rk4-fixed").  The tangent variant integrates the variational
+equation alongside the state and returns the flow differential.
 
 A FlowBoxChart realizes the straightening map of an ordered, commuting,
 form orthogonal frame X_1..X_r near a base point m:
@@ -51,7 +51,7 @@ class IntegratorSettings:
     """Integration policy for every trajectory in a run."""
 
     method: str = "rkf45-adaptive"  # or "rk4-fixed"
-    step: float = 1e-3  # fixed step size and adaptive fallback step
+    step: float = 1e-3  # step size of the rk4-fixed method
     abs_tol: float = DEFAULT_TOLERANCES.ode_abs
     rel_tol: float = DEFAULT_TOLERANCES.ode_rel
     max_steps: int = 100_000
@@ -139,8 +139,10 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
             factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= factor
         if abs(h) < _MIN_STEP_FRACTION * max(1.0, span):
-            # adaptivity thrashed; redo the whole trajectory at a fixed step
-            return _rk4_fixed(rhs, x0, t_end, settings.step, settings.max_steps)
+            raise FlowError(
+                f"adaptive step underflow at t = {t:.6e}: h = {h:.3e}, "
+                f"t_end = {t_end:.6e}"
+            )
 
 
 def flow(
@@ -327,7 +329,8 @@ class FlowBoxChart:
         return self.forward_and_jacobian(y)[1]
 
     def inverse(self, p, y0=None) -> np.ndarray:
-        """Newton inversion of the chart map, warm startable."""
+        """Newton inversion of the chart map, query-seeded from the chart
+        origin unless a start y0 is given."""
         p = np.asarray(p, dtype=float)
         start = np.zeros(self.dim) if y0 is None else np.asarray(y0, dtype=float)
 

@@ -234,7 +234,7 @@ def submersion_checks(
             np.abs(vals - comp.basis @ (comp.basis.T @ vals))
         ) / max(1.0, float(np.max(np.abs(vals))))
         worst = float(span_gap)
-        jacs = [f.jacobian(x) for f in fields]
+        jacs = [f.jacobian(x) for f in fields] if l > 1 else []  # brackets only
         for i in range(l):
             for j in range(i + 1, l):
                 bracket = jacs[j] @ vals[:, i] - jacs[i] @ vals[:, j]

@@ -15,6 +15,8 @@ from hjcomplete.construct import (
     FrameExtensionError,
     HypothesisError,
     TransversalityError,
+    TowerIndex,
+    _integral_components,
     _lifted_x_field,
     build_fibration,
     build_first_integrals,
@@ -34,6 +36,7 @@ from hjcomplete.symplectic import (
     omega,
     structure_matrix,
 )
+from hjcomplete.verify import hje_residual, isotropy_residual
 
 TOL = Tolerances()
 
@@ -193,6 +196,25 @@ def test_lifted_field_is_hamiltonian_field_of_coordinate(harmonic_s2):
         for b in range(4):
             lifted = _lifted_x_field(tower, index, b, 2, TOL.fd_step)
             assert np.max(np.abs(lifted(x) - apply_structure(dy[b]))) < 1e-8
+
+
+def test_integrals_are_independent_of_query_order(harmonic_s2):
+    # every tower solve is seeded from the chart origins, so F and dF at a
+    # point do not depend on what was solved before it
+    _, _, _, F, _ = harmonic_s2
+    points = F.sample_points(8, seed=23)
+
+    def evaluate(order):
+        index = TowerIndex(F.state.tower)
+        integrals = MapField(_integral_components(index.tower, index, F.k, 2), 2)
+        return {i: (integrals.value(points[i]), integrals.jacobian(points[i]))
+                for i in order}
+
+    forward = evaluate(range(8))
+    backward = evaluate(reversed(range(8)))
+    for i in range(8):
+        assert np.array_equal(forward[i][0], backward[i][0])
+        assert np.array_equal(forward[i][1], backward[i][1])
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +387,23 @@ def test_solution_queries_make_one_newton_solve_and_no_inversion(
         assert DS.shape == (4, 4)
     assert inversions == []
     assert solves == [F.k] * 3
+
+
+def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
+    # both checks draw the same seeded probes; the solution memo already
+    # holds every (S, DS) the residual check solved
+    H, Pi, _, _, solution = harmonic_s2
+    assert hje_residual(solution, H, Pi, probes=6, seed=29).passed
+    solves = []
+    newton = construct.newton_solve
+
+    def counted_newton(*args, **kwargs):
+        solves.append(1)
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(construct, "newton_solve", counted_newton)
+    assert isotropy_residual(solution, probes=6, seed=29).passed
+    assert solves == []
 
 
 def test_duality_requires_transversality():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hjcomplete.expr import (
     BinOp,
@@ -18,6 +19,8 @@ from hjcomplete.expr import (
     parse,
     serialize,
 )
+from hjcomplete.expr import FUNCTION_NAMES
+from hjcomplete.symplectic import fd_jacobian
 
 RNG_CASES = 1000
 
@@ -110,6 +113,67 @@ def test_serialize_parse_round_trip():
         tree = _random_ast(rng, s, int(rng.integers(1, 7)))
         text = serialize(tree)
         assert parse(text, s) == tree, text
+
+
+# property tests: small, derandomized example budgets keep tier-1 steady
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+def _trees(s):
+    leaves = st.one_of(
+        st.builds(Num, st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
+        st.builds(Var, st.sampled_from("qp"), st.integers(1, s)),
+    )
+    return st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(Call, st.sampled_from(FUNCTION_NAMES), sub),
+            st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        ),
+        max_leaves=12,
+    )
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda s: st.tuples(st.just(s), _trees(s))))
+def test_serialize_parse_round_trip_property(case):
+    s, tree = case
+    text = serialize(tree)
+    assert parse(text, s) == tree, text
+
+
+def _polynomials(s):
+    """(source, point, scale): a polynomial of degree <= 4 in 2s variables."""
+    names = [f"q{i}" for i in range(1, s + 1)] + [f"p{i}" for i in range(1, s + 1)]
+    monomial = st.lists(st.sampled_from(names), min_size=0, max_size=4)
+    term = st.tuples(st.floats(-3.0, 3.0), monomial)
+    point = st.lists(st.floats(-1.0, 1.0), min_size=2 * s, max_size=2 * s)
+
+    def render(terms):
+        return " + ".join(
+            "*".join([f"({c!r})"] + [f"{v}^{m.count(v)}" for v in sorted(set(m))])
+            for c, m in terms
+        )
+
+    return st.tuples(st.lists(term, min_size=1, max_size=6), point).map(
+        lambda tp: (
+            render(tp[0]),
+            np.array(tp[1]),
+            1.0 + sum(abs(c) for c, _ in tp[0]),
+        )
+    )
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(lambda s: st.tuples(st.just(s), _polynomials(s))))
+def test_exact_derivatives_match_fd_oracle_on_polynomials(case):
+    s, (source, x, scale) = case
+    f = ScalarField.parse(source, s)
+    grad_fd = fd_jacobian(lambda z: np.atleast_1d(f.value(z)), x, 1e-6)[0]
+    npt.assert_allclose(f.gradient(x), grad_fd, rtol=1e-6, atol=1e-6 * scale)
+    hess_fd = fd_jacobian(f.gradient, x, 1e-6)
+    npt.assert_allclose(f.hessian(x), hess_fd, rtol=1e-6, atol=1e-6 * scale)
 
 
 def test_gradient_matches_finite_differences():

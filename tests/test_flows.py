@@ -107,8 +107,8 @@ def test_step_budget_enforced():
 
 
 def test_finished_trajectory_skips_fixed_step_fallback(monkeypatch):
-    """A trajectory that reaches its end stops there; the RK4 redo is only
-    for step underflow, which a tiny span alone must not trigger."""
+    """A trajectory that reaches its end stops there; a tiny span alone
+    must not trip the step-underflow test."""
 
     def refuse(*args):
         raise AssertionError("fixed-step fallback ran")
@@ -120,6 +120,13 @@ def test_finished_trajectory_skips_fixed_step_fallback(monkeypatch):
     c, s = np.cos(0.3), np.sin(0.3)
     exact = np.array([0.3 * c - 0.7 * s, -0.3 * s - 0.7 * c])
     assert np.max(np.abs(flow(X, x0, 0.3) - exact)) < 1e-8
+
+
+def test_step_underflow_raises(monkeypatch):
+    """Adaptive step underflow is an error, not a silent fixed-step redo."""
+    monkeypatch.setattr(flows, "_MIN_STEP_FRACTION", 0.5)
+    with pytest.raises(FlowError, match="underflow.*t_end"):
+        flow(_harmonic_field(), np.array([0.3, -0.7]), 1.0)
 
 
 def test_unknown_method_rejected():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hjcomplete import verify
 from hjcomplete.config import Tolerances
 from hjcomplete.construct import CompleteSolution
 from hjcomplete.expr import MapField, ScalarField
@@ -132,6 +133,21 @@ def test_submersion_checks_accept_full_rank_map():
     report = submersion_checks(F, pts)
     assert report.kernel_gram.max_residual == 0.0
     assert report.passed
+
+
+def test_single_integral_skips_bracket_jacobians(free_s1, monkeypatch):
+    # with l = 1 there is no bracket pair, so no field Jacobian is needed
+    _, Pi, _, F, _ = free_s1
+    calls = []
+    fd = verify.fd_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "fd_jacobian", counted)
+    assert submersion_checks(F, F.sample_points(5, seed=3), fibration=Pi).passed
+    assert calls == []
 
 
 def test_stacked_rank_uses_the_fibration():
