@@ -19,11 +19,11 @@ class Tolerances:
     ode_abs     absolute error target of the adaptive integrator
     ode_rel     relative error target of the adaptive integrator
     residual    default acceptance threshold for verification residuals
-    frobenius   span membership threshold for bracket closure tests; FD
-                differentiated procedural fields make this the noisiest
+    frobenius   span membership threshold for the bracket closure oracle;
+                its FD brackets of procedural fields make this the noisiest
                 quantity in the system, hence the looser default
-    fd_step     central difference step used by test oracles and fallback
-                Jacobians of procedural fields
+    fd_step     central difference step of the verification oracles and of
+                procedural scalar Jacobians; construction is exact
     """
 
     rank: float = 1e-9

@@ -18,8 +18,9 @@ the first j-1 frame fields have already become constant.  Because every
 frame field is Hamiltonian and the fields commute, the pulled-back
 Poisson matrix in level coordinates is available algebraically from the
 slice data alone (see _level_poisson); no integration is needed to
-evaluate lifted fields in chart coordinates.  Numerical integration only
-enters through the level-1 chart and through chart domain validation.
+evaluate lifted fields in chart coordinates, nor finite differences for
+their Jacobians.  Numerical integration only enters through the chart
+flows and chart domain validation.
 """
 
 from __future__ import annotations
@@ -106,8 +107,15 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
     Jacobian factors as Dpsi(y) = W Q(z) with z the slice point for the
     tail of y, Q(z) = [X_1(z) .. X_r(z) | S], and W the composite flow
     tangent.  W preserves the parent Poisson matrix, so the pullback
-    collapses to Q(z)^{-1} L(z) Q(z)^{-T}: the matrix depends on the tail
-    coordinates only, and costs one frame evaluation at the slice.
+    collapses to lam = Q(z)^{-1} L(z) Q(z)^{-T}: the matrix depends on the
+    tail coordinates only, and costs one frame evaluation at the slice.
+
+    lam(y, derivative=True) also returns dlam[:, :, a] = d lam / d y_a: zero
+    for a < r, and for a = r + t, with A = Q^{-1} [DX_i(z) S[:, t] .. | 0],
+    dlam_a = -A lam - lam A^T + Q^{-1} (dL(z) S[:, t]) Q^{-T}.  DX_i is
+    exact at every level (the Hessian of H at level 1, then zero for the
+    constant fields and the parent's dlam[:, b, :] for the lifted one), so
+    the recursion needs no finite difference.
     """
     base = chart.basepoint
     S = chart.slice_basis
@@ -115,24 +123,33 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
     r = len(frame)
     n = base.shape[0]
 
-    def lam(y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        z = base + S @ y[r:]
+    def lam(y: np.ndarray, derivative: bool = False):
+        z = base + S @ np.asarray(y, dtype=float)[r:]
         Q = np.empty((n, n))
         for i, fld in enumerate(frame):
             Q[:, i] = fld(z)
         Q[:, r:] = S
         Qinv = np.linalg.inv(Q)
-        return Qinv @ parent(z) @ Qinv.T
+        if not derivative:
+            return Qinv @ parent(z) @ Qinv.T
+        L, dL = parent(z, derivative=True)
+        out = Qinv @ L @ Qinv.T
+        # A[t] holds the head columns Q^{-1} DX_i(z) S[:, t] of A_{r+t}
+        A = Qinv @ np.stack([S.T @ fld.jacobian(z).T for fld in frame], -1)
+        tail = Qinv @ np.moveaxis(dL @ S, -1, 0) @ Qinv.T - A @ out[:r]
+        dlam = np.zeros((n, n, n))
+        dlam[:, :, r:] = np.moveaxis(tail - out[:, :r] @ A.transpose(0, 2, 1), 0, -1)
+        return out, dlam
 
     return lam
 
 
 def _canonical_poisson(dim_s: int) -> Callable:
     J = structure_matrix(dim_s)
+    dJ = np.zeros((2 * dim_s,) * 3)
 
-    def lam(z: np.ndarray) -> np.ndarray:
-        return J
+    def lam(z: np.ndarray, derivative: bool = False):
+        return (J, dJ) if derivative else J
 
     return lam
 
@@ -331,8 +348,9 @@ class FrameState:
     """Current commuting frame together with its chart tower.
 
     fields hold the frame as honest phase-space vector fields (the first
-    is always the Hamiltonian field; later ones are procedural and carry
-    finite-difference Jacobians).  tower holds one chart per field.
+    is always the Hamiltonian field; later ones are procedural, with
+    finite-difference Jacobians kept as an oracle: charts flow the exact
+    lifts of _level_poisson).  tower holds one chart per field.
     """
 
     hamiltonian: ScalarField
@@ -530,9 +548,7 @@ def extend_frame(state: FrameState) -> FrameState:
     )
     lifted = VectorField(
         lambda y, fn=lam_fn, b=best_b: fn(y)[:, b],
-        lambda y, fn=lam_fn, b=best_b, h=tol.fd_step: fd_jacobian(
-            lambda z: fn(z)[:, b], y, h
-        ),
+        lambda y, fn=lam_fn, b=best_b: fn(y, derivative=True)[1][:, b, :],
         state.dimension_s,
         label=f"ghat[y{best_b + 1}]",
     )

@@ -325,9 +325,6 @@ class FlowBoxChart:
             D[:, i] = fld(x)
         return x, D
 
-    def jacobian(self, y) -> np.ndarray:
-        return self.forward_and_jacobian(y)[1]
-
     def inverse(self, p, y0=None) -> np.ndarray:
         """Newton inversion of the chart map, query-seeded from the chart
         origin unless a start y0 is given."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hjcomplete import (
     MapField,
@@ -7,6 +8,12 @@ from hjcomplete import (
     build_first_integrals,
     solution_from_integrals,
 )
+
+# One profile for every property test: derandomized and deadline-free, so
+# tier-1 runs the same examples every time.  Costly tests lower
+# max_examples with their own @settings, which inherit the rest.
+settings.register_profile("tier1", max_examples=50, deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hjcomplete import construct, flows
+from hjcomplete import construct, flows, symplectic, verify
 from hjcomplete.config import Tolerances
 from hjcomplete.construct import (
     CompleteSolution,
@@ -30,13 +31,14 @@ from hjcomplete.expr import MapField, ScalarField
 from hjcomplete.flows import flow
 from hjcomplete.symplectic import (
     apply_structure,
+    fd_jacobian,
     hamiltonian_vf,
     lie_bracket,
     numerical_rank,
     omega,
     structure_matrix,
 )
-from hjcomplete.verify import hje_residual, isotropy_residual
+from hjcomplete.verify import hje_residual, isotropy_residual, submersion_checks
 
 TOL = Tolerances()
 
@@ -215,6 +217,84 @@ def test_integrals_are_independent_of_query_order(harmonic_s2):
     for i in range(8):
         assert np.array_equal(forward[i][0], backward[i][0])
         assert np.array_equal(forward[i][1], backward[i][1])
+
+
+# ---------------------------------------------------------------------------
+# exact derivatives through the tower
+
+
+@pytest.fixture(scope="module")
+def oscillator_s3_tower():
+    """Three-level chart tower of the s = 3 isotropic oscillator."""
+    H = ScalarField.parse("(q1^2 + q2^2 + q3^2 + p1^2 + p2^2 + p3^2)/2", 3)
+    Pi = MapField.from_sources(("q1", "q2", "q3"), 3)
+    state = init_frame(H, Pi, [0.3, 0.1, 0.2, 1.0, 0.7, 0.5])
+    while state.r < state.k:
+        state = extend_frame(state)
+    return state.tower
+
+
+@pytest.mark.parametrize("pipeline", ["harmonic_s2", "oscillator_s3_tower"])
+def test_poisson_derivative_matches_fd_at_every_level(pipeline, request):
+    fixture = request.getfixturevalue(pipeline)
+    tower = fixture[3].state.tower if pipeline == "harmonic_s2" else fixture
+    n = 2 * tower.dimension_s
+    assert len(tower.poissons) == n // 2 + 1
+    radius = 0.25 * min(c.domain_radius for c in tower.charts)
+    rng = np.random.default_rng(43)
+    for lam in tower.poissons:
+        y = rng.uniform(-radius, radius, size=n)
+        value, dlam = lam(y, derivative=True)
+        assert np.array_equal(value, lam(y))
+        fd = fd_jacobian(lambda z: lam(z).ravel(), y, TOL.fd_step)
+        assert np.max(np.abs(dlam - fd.reshape(n, n, n))) < 1e-8
+
+
+def test_level_two_chart_jacobian_matches_fd_of_forward(harmonic_s2):
+    # the variational flow of the lifted field runs on its exact Jacobian
+    _, _, _, F, _ = harmonic_s2
+    chart = F.state.tower.charts[1]
+    rng = np.random.default_rng(53)
+    for _ in range(2):
+        y = rng.uniform(-0.5, 0.5, size=4) * chart.domain_radius
+        _, D = chart.forward_and_jacobian(y)
+        assert np.max(np.abs(D - fd_jacobian(chart.forward, y, TOL.fd_step))) < 1e-7
+
+
+def test_solution_queries_make_no_finite_differences(harmonic_s2, monkeypatch):
+    # S and DS run the chart flows on exact frame Jacobians; the Frobenius
+    # check stays an independent finite-difference oracle
+    _, Pi, _, F, solution = harmonic_s2
+    calls = []
+    fd = symplectic.fd_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd(*args, **kwargs)
+
+    for module in (construct, symplectic, verify):
+        monkeypatch.setattr(module, "fd_jacobian", counted)
+    ns, lams = solution.sample_domain(3, seed=59, margin=0.8)
+    for n, lam in zip(ns, lams):
+        assert np.max(np.abs(solution(n, lam)[:2] - n)) < 1e-8
+        assert solution.jacobian(n, lam).shape == (4, 4)
+    assert calls == []
+    assert submersion_checks(F, F.sample_points(2, seed=61), fibration=Pi).passed
+    assert calls
+
+
+@settings(max_examples=20)
+@given(
+    level=st.sampled_from([0, 1]),
+    v=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+)
+def test_chart_round_trip_property(harmonic_s2, level, v):
+    # inverse(forward(y)) = y anywhere in the validated ball
+    _, _, _, F, _ = harmonic_s2
+    chart = F.state.tower.charts[level]
+    v = np.array(v)
+    y = chart.domain_radius * v / max(1.0, float(np.linalg.norm(v)))
+    assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hjcomplete.expr import (
     BinOp,
@@ -115,10 +115,6 @@ def test_serialize_parse_round_trip():
         assert parse(text, s) == tree, text
 
 
-# property tests: small, derandomized example budgets keep tier-1 steady
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True)
-
-
 def _trees(s):
     leaves = st.one_of(
         st.builds(Num, st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)),
@@ -135,7 +131,6 @@ def _trees(s):
     )
 
 
-@PROPERTY
 @given(st.integers(1, 3).flatmap(lambda s: st.tuples(st.just(s), _trees(s))))
 def test_serialize_parse_round_trip_property(case):
     s, tree = case
@@ -165,7 +160,6 @@ def _polynomials(s):
     )
 
 
-@PROPERTY
 @given(st.integers(1, 3).flatmap(lambda s: st.tuples(st.just(s), _polynomials(s))))
 def test_exact_derivatives_match_fd_oracle_on_polynomials(case):
     s, (source, x, scale) = case

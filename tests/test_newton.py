@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjcomplete.newton import NewtonError, newton_solve
 
@@ -97,3 +99,37 @@ def test_start_at_solution():
         x0,
     )
     assert root[0] == x0[0]
+
+
+def _systems(n):
+    """(A, b, eps, chord_after): A x + eps sin(x) = b with A = I + E / n."""
+    entries = st.floats(-0.5, 0.5)
+    return st.tuples(
+        arrays(float, (n, n), elements=entries).map(lambda E: np.eye(n) + E / n),
+        arrays(float, n, elements=st.floats(-2.0, 2.0)),
+        st.sampled_from([0.0, 0.1, 0.3]),
+        st.sampled_from([None, 2]),
+    )
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 5).flatmap(_systems))
+def test_newton_contract_property(case):
+    # the contract: a returned root meets tol, anything else is a NewtonError;
+    # these systems are well conditioned, so the linear ones always converge
+    A, b, eps, chord_after = case
+
+    def residual(x):
+        return A @ x + eps * np.sin(x) - b
+
+    def jacobian(x):
+        return A + eps * np.diag(np.cos(x))
+
+    try:
+        x = newton_solve(
+            residual, jacobian, np.zeros(len(b)), tol=1e-10, chord_after=chord_after
+        )
+    except NewtonError:
+        assert eps > 0.0
+        return
+    assert np.linalg.norm(residual(x)) <= 1e-10
