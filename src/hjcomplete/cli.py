@@ -211,7 +211,7 @@ def _construct_pipeline(cfg: RunConfig):
     return m, hamiltonian, fibration, fib_meta, F, solution
 
 
-def _verification_suite(cfg, hamiltonian, fibration, F, solution) -> dict:
+def _verification_suite(cfg, hamiltonian, fibration, F, solution, points) -> dict:
     checks = {
         "hje_residual": hje_residual(
             solution, hamiltonian, fibration, cfg.probes, cfg.seed, cfg.tolerances
@@ -219,11 +219,10 @@ def _verification_suite(cfg, hamiltonian, fibration, F, solution) -> dict:
         "isotropy_residual": isotropy_residual(
             solution, cfg.probes, cfg.seed, cfg.tolerances
         ),
+        "first_integral_residual": first_integral_residual(
+            F, hamiltonian, points, cfg.tolerances, cfg.seed
+        ),
     }
-    points = F.sample_points(cfg.probes, cfg.seed)
-    checks["first_integral_residual"] = first_integral_residual(
-        F, hamiltonian, points, cfg.tolerances, cfg.seed
-    )
     sub = submersion_checks(
         F, points, cfg.tolerances, fibration=fibration, seed=cfg.seed
     )
@@ -254,7 +253,8 @@ def cmd_check(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
 
 def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
     m, hamiltonian, fibration, fib_meta, F, solution = _construct_pipeline(cfg)
-    suite = _verification_suite(cfg, hamiltonian, fibration, F, solution)
+    points = F.sample_points(cfg.probes, cfg.seed)
+    suite = _verification_suite(cfg, hamiltonian, fibration, F, solution, points)
 
     s = cfg.dimension_s
     k, l = F.k, F.l
@@ -270,7 +270,6 @@ def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
     ]
     files = [_write_table(os.path.join(outdir, "solution_grid"), sol_header, sol_rows, fmt)]
 
-    points = F.sample_points(cfg.probes, cfg.seed)
     int_header = (
         [f"q{i + 1}" for i in range(s)]
         + [f"p{i + 1}" for i in range(s)]

@@ -19,11 +19,11 @@ class Tolerances:
     ode_abs     absolute error target of the adaptive integrator
     ode_rel     relative error target of the adaptive integrator
     residual    default acceptance threshold for verification residuals
-    frobenius   span membership threshold for the bracket closure oracle;
-                its FD brackets of procedural fields make this the noisiest
-                quantity in the system, hence the looser default
-    fd_step     central difference step of the verification oracles and of
-                procedural scalar Jacobians; construction is exact
+    frobenius   span threshold of the bracket closure oracle, looser since
+                procedural components get FD brackets: in chart coordinates
+                for a constructed F, in phase space for any other
+    fd_step     step of every central-difference verification oracle;
+                construction is exact
     """
 
     rank: float = 1e-9

@@ -17,7 +17,6 @@ from .construct import CompleteSolution, FirstIntegralSubmersion, _integrals_map
 from .expr import MapField, ScalarField
 from .symplectic import (
     Subspace,
-    VectorField,
     apply_structure,
     classify,
     fd_jacobian,
@@ -92,7 +91,6 @@ def hje_residual(
     covector X^T A - (grad H)(x)^T DS must vanish.  The projection
     defect |fibration(solution) - n| is folded into the same residual.
     """
-    s = solution.dimension_s
     xh = hamiltonian_vf(hamiltonian, tolerances)
     ns, lams = solution.sample_domain(probes, seed=seed, margin=margin)
     residuals, points = [], []
@@ -163,30 +161,30 @@ class SubmersionReport:
         return self.rank.passed and self.kernel_gram.passed and self.frobenius.passed
 
 
-def _kernel_complement_fields(
-    integrals: MapField, tolerances: Tolerances
-) -> list[VectorField]:
-    """A smooth frame of the symplectic orthogonal of Ker dF.
+def _field_jacobians(F: MapLike, tolerances: Tolerances):
+    """x -> [DX_i(x)] for the complement fields X_i = J dF_i.
 
-    The Hamiltonian fields of the components span it exactly and vary
-    smoothly with the point, which an orthonormalized kernel basis does
-    not; smoothness is what makes finite-difference brackets meaningful.
+    On the tower Psi of a constructed F, F(Psi(y)) = y_tail, so X_i(Psi(y))
+    = J (DPsi(y)^-1)[k + i] =: G_i(y) and DX_i(x) = DG_i(y) DPsi(y)^-1 at
+    y = Psi^-1(x).  DG is one central difference over forward passes in
+    chart coordinates, shared by the l fields: no tower solve, no exact dlam.
+    Other maps take hamiltonian_vf of each component.
     """
-    s = integrals.dimension_s
-    fields = []
-    for i, comp in enumerate(integrals.components):
-        def ev(x, c=comp):
-            return apply_structure(c.gradient(x))
+    if not isinstance(F, FirstIntegralSubmersion):
+        fields = [hamiltonian_vf(c, tolerances) for c in F.components]
+        return lambda x: [f.jacobian(x) for f in fields]
+    tower, k, n = F.state.tower, F.k, 2 * F.dimension_s
 
-        fields.append(
-            VectorField(
-                ev,
-                lambda x, f=ev, h=tolerances.fd_step: fd_jacobian(f, x, h),
-                s,
-                label=f"X[{getattr(comp, 'label', '') or i}]",
-            )
-        )
-    return fields
+    def stacked(y: np.ndarray) -> np.ndarray:
+        rows = np.linalg.inv(tower.forward_and_jacobian(y)[1])[k:]
+        return np.concatenate([apply_structure(r) for r in rows])
+
+    def jacobians(x: np.ndarray) -> list[np.ndarray]:
+        entry = F.index.solve(x, need_jacobian=True)
+        DG = fd_jacobian(stacked, entry.coords, tolerances.fd_step)
+        return [d @ entry.jac_inv for d in DG.reshape(-1, n, n)]
+
+    return jacobians
 
 
 def submersion_checks(
@@ -201,17 +199,19 @@ def submersion_checks(
     The rank check asserts dF has full rank at every probe, and when a
     fibration is supplied, that the stacked Jacobian reaches rank 2s.
     The Gram check measures isotropy of Ker dF.  The Frobenius check
-    takes the Hamiltonian fields of the components as a frame of the
-    symplectic complement, forms their pairwise Lie brackets by finite
-    differences, and measures the relative least-squares defect of the
+    takes X_i = J dF_i, a smooth frame of the symplectic complement, and
+    measures the relative least-squares defect of their pairwise Lie
     brackets against the frame, cross-checking the frame against the
-    algebraic complement of the kernel.
+    algebraic complement of the kernel.  The bracket Jacobians DX_i come
+    from a chart-side stencil for a FirstIntegralSubmersion, the exact
+    J Hess F_i for a parsed component, and a phase-space central
+    difference for any other procedural component (_field_jacobians).
     """
     integrals = _integrals_map(F)
     s = integrals.dimension_s
     l = integrals.target_dim
     rank_resid, gram_resid, frob_resid = [], [], []
-    fields = _kernel_complement_fields(integrals, tolerances)
+    field_jacobians = _field_jacobians(F, tolerances)
 
     for x in points:
         dF = integrals.jacobian(x)
@@ -228,13 +228,13 @@ def submersion_checks(
             JK = np.column_stack([apply_structure(v) for v in kernel.T])
             gram_resid.append(float(np.max(np.abs(kernel.T @ JK))))
 
-        vals = np.column_stack([f(x) for f in fields])
+        vals = np.column_stack([apply_structure(g) for g in dF])
         comp = symp_orth(Subspace(np.asarray(x, float), kernel, tolerances.rank))
         span_gap = np.max(
             np.abs(vals - comp.basis @ (comp.basis.T @ vals))
         ) / max(1.0, float(np.max(np.abs(vals))))
         worst = float(span_gap)
-        jacs = [f.jacobian(x) for f in fields] if l > 1 else []  # brackets only
+        jacs = field_jacobians(x) if l > 1 else []  # brackets only
         for i in range(l):
             for j in range(i + 1, l):
                 bracket = jacs[j] @ vals[:, i] - jacs[i] @ vals[:, j]

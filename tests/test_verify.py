@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from hjcomplete import verify
+from hjcomplete import symplectic, verify
 from hjcomplete.config import Tolerances
-from hjcomplete.construct import CompleteSolution
+from hjcomplete.construct import ChartTower, CompleteSolution
 from hjcomplete.expr import MapField, ScalarField
+from hjcomplete.symplectic import fd_jacobian, hamiltonian_vf
 from hjcomplete.verify import (
     first_integral_residual,
     hje_residual,
@@ -209,3 +210,59 @@ def test_constructed_pipeline_passes_all_checks(harmonic_s2):
     report = integrability_report(H, F, pts)
     assert report.first_integrals.passed
     assert report.commutative
+
+
+def test_chart_stencil_matches_phase_space_fd(harmonic_s2):
+    # DX_i = DG_i(y) DPsi(y)^-1 from the chart side against a central
+    # difference of X_i = J dF_i in phase space, which solves the tower
+    # at every stencil point
+    _, _, _, F, _ = harmonic_s2
+    jacobians = verify._field_jacobians(F, TOL)
+    for x in F.sample_points(3, seed=83):
+        for comp, DX in zip(F.integrals.components, jacobians(x)):
+            fd = fd_jacobian(hamiltonian_vf(comp, TOL), x, TOL.fd_step)
+            assert np.max(np.abs(DX - fd)) / max(1.0, np.max(np.abs(DX))) < 1e-5
+
+
+def test_submersion_checks_solve_the_tower_once_per_probe(harmonic_s2, monkeypatch):
+    # the Frobenius stencil runs forward passes only; the one solve per
+    # probe is the memoized inversion behind dF
+    _, Pi, _, F, _ = harmonic_s2
+    calls = []
+    solve_stack = ChartTower.solve_stack
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return solve_stack(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChartTower, "solve_stack", counted)
+    pts = F.sample_points(4, seed=89)
+    assert submersion_checks(F, pts, fibration=Pi).passed
+    assert 0 < len(calls) <= len(pts)
+
+
+def test_parsed_pairs_make_no_finite_differences(monkeypatch):
+    # parsed components get DX_i = J Hess F_i, so no central difference
+    # runs, and the non-integrable control still fails
+    calls = []
+    fd = symplectic.fd_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd(*args, **kwargs)
+
+    for module in (verify, symplectic):
+        monkeypatch.setattr(module, "fd_jacobian", counted)
+    bad = MapField.from_sources(("p1", "q1*p2"), 2)
+    pts = sample_cube([0.3, 0.0, 0.5, 0.8], 0.1, 10, seed=5)
+    report = submersion_checks(bad, pts)
+    assert not report.frobenius.passed
+    assert report.frobenius.max_residual > 0.1
+
+    iso = "(q1^2 + q2^2 + p1^2 + p2^2)/2"
+    H = ScalarField.parse(iso, 2)
+    F = MapField.from_sources((iso, "q1*p2 - q2*p1"), 2)
+    pts = sample_cube([0.3, 0.1, 1.0, 0.7], 0.2, 10, seed=11)
+    assert submersion_checks(F, pts).passed
+    assert integrability_report(H, F, pts).commutative
+    assert calls == []
