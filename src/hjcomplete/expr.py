@@ -15,18 +15,25 @@ coordinates q1..qs, p1..ps:
 notation with a leading digit.  Parsing is by recursive descent, errors
 carry the byte offset of the offending token.
 
-Derivatives are exact: evaluation runs on dual numbers carrying a full
-tangent vector (first order) or a tangent plus a symmetric matrix of
-second order coefficients, so gradients and Hessians come out of a single
-forward pass with no truncation error.  Finite differences appear nowhere
-in this module; they are reserved for test oracles.
+Values come from a float walk over the tree.  Gradients and Hessians come
+from generated kernels: on first use of an order the tree becomes one
+straight-line Python function, forward mode over the structurally nonzero
+entries with constants folded and the finiteness and domain checks
+inline.  Its arithmetic is that of second order dual numbers term by term,
+so derivatives are exact.  When a check fails the float walk reruns to
+name the failing subexpression.  Kernel code comes from the tree alone
+(literals by repr, variables by index, functions from _FUNC_TABLE) and runs
+without builtins.  Finite differences appear nowhere in this module; they
+are reserved for test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -41,8 +48,6 @@ __all__ = [
     "Call",
     "parse",
     "serialize",
-    "Dual",
-    "HessDual",
     "ScalarField",
     "ProceduralScalar",
     "MapField",
@@ -128,12 +133,8 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
             raise ParseError(
                 f"invalid character {source[bad]!r}", _byte_offset(source, bad)
             )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", n))
     return tokens
@@ -194,12 +195,22 @@ class _Parser:
             return BinOp("^", base, self.factor())
         return base
 
+    def closed(self, node: Node) -> Node:
+        closing = self.peek()
+        if closing[:2] != ("op", ")"):
+            raise self._error("expected ')'", closing)
+        self.advance()
+        return node
+
     def atom(self) -> Node:
         tok = self.peek()
         kind, text, _ = tok
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise self._error(f"literal {text!r} overflows", tok)
+            return Num(value)
         if kind == "ident":
             self.advance()
             if text in FUNCTION_NAMES:
@@ -209,12 +220,7 @@ class _Parser:
                         f"function {text!r} must be followed by '('", opening
                     )
                 self.advance()
-                arg = self.expr()
-                closing = self.peek()
-                if closing[:2] != ("op", ")"):
-                    raise self._error("expected ')'", closing)
-                self.advance()
-                return Call(text, arg)
+                return Call(text, self.closed(self.expr()))
             m = _VAR_RE.match(text)
             if m is None:
                 raise self._error(f"unknown identifier {text!r}", tok)
@@ -226,12 +232,7 @@ class _Parser:
             return Var(m.group(1), index)
         if (kind, text) == ("op", "("):
             self.advance()
-            node = self.expr()
-            closing = self.peek()
-            if closing[:2] != ("op", ")"):
-                raise self._error("expected ')'", closing)
-            self.advance()
-            return node
+            return self.closed(self.expr())
         if kind == "eof":
             raise self._error("unexpected end of input", tok)
         raise self._error(f"unexpected token {text!r}", tok)
@@ -251,6 +252,15 @@ _PREC_PRODUCT = 2
 _PREC_UNARY = 3
 _PREC_POWER = 4
 _PREC_ATOM = 6
+# least precedence of the left and right operands, and the separator; a
+# power's base is an atom and its exponent a factor
+_OPERANDS = {
+    "+": (_PREC_SUM, _PREC_PRODUCT, " + "),
+    "-": (_PREC_SUM, _PREC_PRODUCT, " - "),
+    "*": (_PREC_PRODUCT, _PREC_UNARY, "*"),
+    "/": (_PREC_PRODUCT, _PREC_UNARY, "/"),
+    "^": (_PREC_ATOM - 1, _PREC_UNARY, "^"),
+}
 
 
 def _node_prec(node: Node) -> int:
@@ -276,24 +286,9 @@ def _render(node: Node, min_prec: int) -> str:
         text = f"{node.func}({_render(node.arg, _PREC_SUM)})"
     elif isinstance(node, Neg):
         text = "-" + _render(node.operand, _PREC_POWER)
-    elif node.op in "+-":
-        text = (
-            _render(node.left, _PREC_SUM)
-            + f" {node.op} "
-            + _render(node.right, _PREC_PRODUCT)
-        )
-    elif node.op in "*/":
-        text = (
-            _render(node.left, _PREC_PRODUCT)
-            + node.op
-            + _render(node.right, _PREC_UNARY)
-        )
-    else:  # power: base is an atom, exponent a factor
-        text = (
-            _render(node.left, _PREC_ATOM - 1)
-            + "^"
-            + _render(node.right, _PREC_UNARY)
-        )
+    else:
+        left, right, sep = _OPERANDS[node.op]
+        text = _render(node.left, left) + sep + _render(node.right, right)
     if _node_prec(node) < min_prec:
         return "(" + text + ")"
     return text
@@ -305,288 +300,282 @@ def serialize(node: Node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# dual numbers
+# float tree walk: values, and the error path of the derivative kernels
 
-
-class Dual:
-    """First order dual number: value plus a tangent vector.
-
-    The tangent is a plain tuple of floats, one slot per phase space
-    coordinate, so a single evaluation of an expression seeded with unit
-    tangents yields the full gradient.
-    """
-
-    __slots__ = ("v", "d")
-
-    def __init__(self, v: float, d: tuple):
-        self.v = v
-        self.d = d
-
-    def __add__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.v + other.v, tuple(a + b for a, b in zip(self.d, other.d)))
-        return Dual(self.v + other, self.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Dual):
-            return Dual(self.v - other.v, tuple(a - b for a, b in zip(self.d, other.d)))
-        return Dual(self.v - other, self.d)
-
-    def __rsub__(self, other):
-        return Dual(other - self.v, tuple(-a for a in self.d))
-
-    def __neg__(self):
-        return Dual(-self.v, tuple(-a for a in self.d))
-
-    def __mul__(self, other):
-        if isinstance(other, Dual):
-            return Dual(
-                self.v * other.v,
-                tuple(a * other.v + self.v * b for a, b in zip(self.d, other.d)),
-            )
-        return Dual(self.v * other, tuple(a * other for a in self.d))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            w = 1.0 / other.v
-            val = self.v * w
-            return Dual(val, tuple((a - val * b) * w for a, b in zip(self.d, other.d)))
-        w = 1.0 / other
-        return Dual(self.v * w, tuple(a * w for a in self.d))
-
-    def __rtruediv__(self, other):
-        w = 1.0 / self.v
-        val = other * w
-        return Dual(val, tuple(-val * w * a for a in self.d))
-
-
-class HessDual:
-    """Second order dual number: value, gradient and symmetric Hessian."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g: tuple, h: tuple):
-        self.v = v
-        self.g = g  # tuple of floats
-        self.h = h  # tuple of tuples, symmetric
-
-    def __add__(self, other):
-        if isinstance(other, HessDual):
-            g = tuple(a + b for a, b in zip(self.g, other.g))
-            h = tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.h, other.h)
-            )
-            return HessDual(self.v + other.v, g, h)
-        return HessDual(self.v + other, self.g, self.h)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HessDual):
-            g = tuple(a - b for a, b in zip(self.g, other.g))
-            h = tuple(
-                tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.h, other.h)
-            )
-            return HessDual(self.v - other.v, g, h)
-        return HessDual(self.v - other, self.g, self.h)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return HessDual(
-            -self.v,
-            tuple(-a for a in self.g),
-            tuple(tuple(-a for a in row) for row in self.h),
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, HessDual):
-            av, bv = self.v, other.v
-            ag, bg = self.g, other.g
-            g = tuple(a * bv + av * b for a, b in zip(ag, bg))
-            h = tuple(
-                tuple(
-                    ha * bv + ag[i] * bg[j] + ag[j] * bg[i] + av * hb
-                    for j, (ha, hb) in enumerate(zip(rowa, rowb))
-                )
-                for i, (rowa, rowb) in enumerate(zip(self.h, other.h))
-            )
-            return HessDual(av * bv, g, h)
-        return HessDual(
-            self.v * other,
-            tuple(a * other for a in self.g),
-            tuple(tuple(a * other for a in row) for row in self.h),
-        )
-
-    __rmul__ = __mul__
-
-    def _inv(self):
-        w = 1.0 / self.v
-        w2 = w * w
-        g = tuple(-a * w2 for a in self.g)
-        sg = self.g
-        h = tuple(
-            tuple((2.0 * sg[i] * sg[j] * w - hij) * w2 for j, hij in enumerate(row))
-            for i, row in enumerate(self.h)
-        )
-        return HessDual(w, g, h)
-
-    def __truediv__(self, other):
-        if isinstance(other, HessDual):
-            return self * other._inv()
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self._inv() * other
-
-
-Number = Union[float, Dual, HessDual]
-
-# value, first and second derivative of each function
-_FUNC_TABLE: dict[str, tuple[Callable, Callable, Callable]] = {
-    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
-    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
-    "sqrt": (
-        math.sqrt,
-        lambda v: 0.5 / math.sqrt(v),
-        lambda v: -0.25 / (v * math.sqrt(v)),
-    ),
+_FUNC_TABLE: dict[str, Callable[[float], float]] = {
+    name: getattr(math, name) for name in FUNCTION_NAMES
 }
-
-_DOMAIN_CHECKS = {
-    "log": lambda v: v > 0.0,
-    "sqrt": lambda v: v >= 0.0,
-}
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _value_of(u: Number) -> float:
-    if isinstance(u, (Dual, HessDual)):
-        return u.v
-    return u
+def _has_var(node: Node) -> bool:
+    if isinstance(node, (Num, Var)):
+        return isinstance(node, Var)
+    return any(_has_var(c) for c in vars(node).values() if not isinstance(c, str))
 
 
-def _apply_func(name: str, u: Number, node: Node) -> Number:
-    v = _value_of(u)
-    check = _DOMAIN_CHECKS.get(name)
-    if check is not None and not check(v):
+def _integer_exponent(node: Node) -> int | None:
+    """n when the exponent is a literal integer n or -n, else None."""
+    sign, num = (-1, node.operand) if isinstance(node, Neg) else (1, node)
+    if isinstance(num, Num) and float(num.value).is_integer():
+        return sign * int(num.value)
+    return None
+
+
+def _square_and_multiply(base, n: int, mul: Callable):
+    """base^n for n >= 1, left-to-right binary.  The tree walk and the
+    kernels share it, so both take the same products in the same order."""
+    out = base
+    for bit in bin(n)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, base)
+    return out
+
+
+def _apply_func(name: str, v: float, node: Node, order: int = 0) -> float:
+    if (name == "log" and not v > 0.0) or (name == "sqrt" and not v >= 0.0):
         raise EvaluationError(f"domain error for {name}({v!r})", serialize(node))
-    f, f1, f2 = _FUNC_TABLE[name]
+    if name == "sqrt" and order and v == 0.0:
+        raise EvaluationError("sqrt is not differentiable at 0.0", serialize(node))
     try:
-        fv = f(v)
+        return _FUNC_TABLE[name](v)
     except (ValueError, OverflowError) as exc:
         raise EvaluationError(f"{name} failed: {exc}", serialize(node)) from exc
-    if isinstance(u, Dual):
-        a = f1(v)
-        return Dual(fv, tuple(a * di for di in u.d))
-    if isinstance(u, HessDual):
-        a = f1(v)
-        b = f2(v)
-        g = tuple(a * di for di in u.g)
-        ug = u.g
-        h = tuple(
-            tuple(a * hij + b * ug[i] * ug[j] for j, hij in enumerate(row))
-            for i, row in enumerate(u.h)
-        )
-        return HessDual(fv, g, h)
-    return fv
 
 
-def _int_power(base: Number, n: int, node: Node) -> Number:
-    if n == 0:
-        return 1.0
-    if n < 0:
-        if _value_of(base) == 0.0:
-            raise EvaluationError("zero raised to a negative power", serialize(node))
-        return 1.0 / _int_power(base, -n, node)
-    result = base
-    for _ in range(n - 1):
-        result = result * base
-    return result
-
-
-def _evaluate(node: Node, env: tuple, s: int) -> Number:
+def _evaluate(node: Node, env: Sequence[float], s: int, order: int = 0) -> float:
+    """Float value of a tree.  Raises EvaluationError naming the first
+    failing subexpression; with order >= 1 a point where a derivative of
+    that order does not exist (sqrt at 0) fails too."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
-        flat = node.index - 1 if node.kind == "q" else s + node.index - 1
-        return env[flat]
+        return env[node.index - 1 if node.kind == "q" else s + node.index - 1]
     if isinstance(node, Neg):
-        return -_evaluate(node.operand, env, s)
+        return -_evaluate(node.operand, env, s, order)
     if isinstance(node, Call):
-        return _apply_func(node.func, _evaluate(node.arg, env, s), node)
-    # BinOp
-    left = _evaluate(node.left, env, s)
+        arg = _evaluate(node.arg, env, s, order)
+        return _apply_func(node.func, arg, node, order and _has_var(node.arg))
+    left = _evaluate(node.left, env, s, order)
     op = node.op
-    if op == "^":
-        r = node.right
-        if isinstance(r, Num) and float(r.value).is_integer():
-            out = _int_power(left, int(r.value), node)
-        elif isinstance(r, Neg) and isinstance(r.operand, Num) and float(
-            r.operand.value
-        ).is_integer():
-            out = _int_power(left, -int(r.operand.value), node)
-        else:
-            # general power via exp(b log a); requires a positive base
-            right = _evaluate(r, env, s)
-            if _value_of(left) <= 0.0:
-                raise EvaluationError(
-                    "general power needs a positive base", serialize(node)
-                )
-            out = _apply_func("exp", right * _apply_func("log", left, node), node)
-        if not math.isfinite(_value_of(out)):
-            raise EvaluationError("non finite result", serialize(node))
-        return out
-    right = _evaluate(node.right, env, s)
-    if op == "+":
-        out = left + right
-    elif op == "-":
-        out = left - right
-    elif op == "*":
-        out = left * right
+    n = _integer_exponent(node.right) if op == "^" else None
+    if n is not None:
+        out = _square_and_multiply(left, abs(n), operator.mul) if n else 1.0
+        if n < 0:
+            if out == 0.0:
+                raise EvaluationError("zero raised to a negative power", serialize(node))
+            out = 1.0 / out
     else:
-        if _value_of(right) == 0.0:
+        right = _evaluate(node.right, env, s, order)
+        if op == "^":  # general power via exp(b log a); requires a positive base
+            if left <= 0.0:
+                raise EvaluationError("general power needs a positive base", serialize(node))
+            out = _apply_func("exp", right * _apply_func("log", left, node), node)
+        elif op != "/":
+            out = _FOLD[op](left, right)
+        elif right == 0.0:
             raise EvaluationError("division by zero", serialize(node))
-        out = left / right
-    if not math.isfinite(_value_of(out)):
+        else:
+            out = left / right
+    if not math.isfinite(out):
         raise EvaluationError("non finite result", serialize(node))
     return out
 
 
-# unit tangent tuples, cached per dimension
-_BASIS_CACHE: dict[int, tuple] = {}
-_ZERO_HESS_CACHE: dict[int, tuple] = {}
+# ---------------------------------------------------------------------------
+# generated derivative kernels
+#
+# A quantity is a float (a folded constant) or code: a local's name or a
+# parenthesized expression.  A derivative is sparse, a dict from a flat
+# index (gradient) or an index pair i <= j (Hessian) to a quantity, and a
+# missing key is a structural zero (None in the helpers below).  Every
+# formula is second order dual arithmetic term by term, in the same order,
+# minus the terms that are structurally zero; order 1 keeps the gradient.
+# A kernel fails when a binary operation's value or an output is not
+# finite, and on a domain fault (ArithmeticError or ValueError).
+
+def _code(q) -> str:
+    if isinstance(q, float) and not math.isfinite(q):
+        raise OverflowError("non finite constant")
+    return q if isinstance(q, str) else repr(q)
 
 
-def _basis(dim: int) -> tuple:
-    cached = _BASIS_CACHE.get(dim)
-    if cached is None:
-        cached = tuple(
-            tuple(1.0 if i == j else 0.0 for j in range(dim)) for i in range(dim)
-        )
-        _BASIS_CACHE[dim] = cached
-    return cached
+def _neg(a):
+    return a if a is None else -a if isinstance(a, float) else f"(-{a})"
 
 
-def _zero_hess(dim: int) -> tuple:
-    cached = _ZERO_HESS_CACHE.get(dim)
-    if cached is None:
-        cached = tuple(tuple(0.0 for _ in range(dim)) for _ in range(dim))
-        _ZERO_HESS_CACHE[dim] = cached
-    return cached
+def _op(a, op: str, b):
+    """a op b for op in '+-*'."""
+    if a is None or b is None:
+        if op == "*" or b is None:
+            return None if op == "*" else a
+        return b if op == "+" else _neg(b)
+    if isinstance(a, float) and isinstance(b, float):
+        return _FOLD[op](a, b)
+    if op == "*" and 1.0 in (a, b):
+        return b if a == 1.0 else a
+    return f"({_code(a)} {op} {_code(b)})"
 
 
-def _as_floats(x, dim: int) -> tuple:
-    vals = tuple(float(v) for v in x)
-    if len(vals) != dim:
-        raise ValueError(f"expected a point of dimension {dim}, got {len(vals)}")
-    return vals
+def _mul(*factors):
+    """Left-associated product."""
+    return functools.reduce(lambda a, b: _op(a, "*", b), factors)
+
+
+def _pairs(hessians, products=()) -> list:
+    """Sorted pairs i <= j that the Hessians or gradient products touch."""
+    keys = set().union(*hessians)
+    for gi, gj in products:
+        keys.update((min(i, j), max(i, j)) for i in gi for j in gj)
+    return sorted(keys)
+
+
+# f' and f'' of each function, from the argument {v} and the value {f}
+_DERIVATIVE_CODE = {
+    "sin": ("cos({v})", "(-{f})"),
+    "cos": ("(-sin({v}))", "(-{f})"),
+    "exp": ("{f}", "{f}"),
+    "log": ("(1.0 / {v})", "(-1.0 / ({v} * {v}))"),
+    "sqrt": ("(0.5 / {f})", "(-0.25 / ({v} * {f}))"),
+}
+_LOCAL_RE = re.compile(r"\b[tx]\d+\b")
+_RAISES_RE = re.compile(r"/|[a-z]\(")  # a division or a function call
+
+
+class _KernelWriter:
+    """Source transformation of one tree into straight-line forward mode.
+    emit() returns a node's (value, gradient, hessian); a float value marks
+    a constant node, whose derivatives are empty."""
+
+    def __init__(self, s: int, order: int):
+        self.s, self.order = s, order
+        self.lines, self.checked = [], []  # (name, code) and names to check
+
+    def let(self, q):
+        if isinstance(q, float) or q.isidentifier():
+            return q
+        self.lines.append((f"t{len(self.lines)}", q))
+        return self.lines[-1][0]
+
+    def node(self, v, g, h):
+        let = self.let
+        return let(v), {k: let(q) for k, q in g.items()}, {k: let(q) for k, q in h.items()}
+
+    def emit(self, node: Node):
+        if not _has_var(node):
+            return float(_evaluate(node, (), self.s)), {}, {}
+        if isinstance(node, Var):
+            k = node.index - 1 + (self.s if node.kind == "p" else 0)
+            return f"x{k}", {k: 1.0}, {}
+        if isinstance(node, Neg):
+            v, g, h = self.emit(node.operand)
+            g, h = ({k: _neg(q) for k, q in d.items()} for d in (g, h))
+            return self.node(_neg(v), g, h)
+        if isinstance(node, Call):
+            return self.call(node.func, self.emit(node.arg), node)
+        a = self.emit(node.left)
+        n = _integer_exponent(node.right) if node.op == "^" else None
+        if n == 0:  # not folded, so sqrt(q1^0 - 1) fails as in the tree walk
+            return "1.0", {}, {}
+        if n is not None:
+            out = _square_and_multiply(a, abs(n), self.mul)
+            out = self.div((1.0, {}, {}), out) if n < 0 else out
+        elif node.op == "^":
+            log = self.call("log", a, node)
+            out = self.call("exp", self.mul(self.emit(node.right), log), node)
+        elif node.op in "+-":
+            (av, ag, ah), (bv, bg, bh) = a, self.emit(node.right)
+            out = self.node(
+                _op(av, node.op, bv),
+                {k: _op(ag.get(k), node.op, bg.get(k)) for k in sorted(ag.keys() | bg.keys())},
+                {k: _op(ah.get(k), node.op, bh.get(k)) for k in _pairs((ah, bh))},
+            )
+        else:
+            out = (self.mul if node.op == "*" else self.div)(a, self.emit(node.right))
+        if isinstance(out[0], str):
+            self.checked.append(out[0])
+        return out
+
+    def mul(self, a, b):
+        (av, ag, ah), (bv, bg, bh) = a, b
+        g = {
+            i: _op(_mul(ag.get(i), bv), "+", _mul(av, bg.get(i)))
+            for i in sorted(ag.keys() | bg.keys())
+        }
+        h = {}
+        for i, j in _pairs((ah, bh), [(ag, bg)]) if self.order == 2 else ():
+            ij = _op(_mul(ah.get((i, j)), bv), "+", _mul(ag.get(i), bg.get(j)))
+            ij = _op(ij, "+", _mul(ag.get(j), bg.get(i)))
+            h[i, j] = _op(ij, "+", _mul(av, bh.get((i, j))))
+        return self.node(_mul(av, bv), g, h)
+
+    def div(self, a, b):  # a times the inverse of b
+        bv, bg, bh = b
+        if isinstance(bv, float):
+            return self.mul(a, (1.0 / bv, {}, {}))
+        w = self.let(f"(1.0 / {bv})")
+        w2 = self.let(_mul(w, w))
+        h = {}
+        for i, j in _pairs((bh,), [(bg, bg)]) if self.order == 2 else ():
+            twice = _mul(2.0, bg.get(i), bg.get(j), w)
+            h[i, j] = _mul(_op(twice, "-", bh.get((i, j))), w2)
+        return self.mul(a, self.node(w, {i: _mul(_neg(q), w2) for i, q in bg.items()}, h))
+
+    def call(self, name: str, a, node: Node):
+        av, ag, ah = a
+        if isinstance(av, float):
+            return _apply_func(name, av, node), {}, {}
+        f = self.let(f"{name}({av})")
+        f1 = self.let(_DERIVATIVE_CODE[name][0].format(v=av, f=f))
+        h = {}
+        if self.order == 2:
+            f2 = self.let(_DERIVATIVE_CODE[name][1].format(v=av, f=f))
+            for i, j in _pairs((ah,), [(ag, ag)]):
+                h[i, j] = _op(_mul(f1, ah.get((i, j))), "+", _mul(f2, ag.get(i), ag.get(j)))
+        return self.node(f, {i: _mul(f1, q) for i, q in ag.items()}, h)
+
+    def source(self, root: Node) -> str:
+        _, g, h = self.emit(root)
+        n = 2 * self.s
+        outputs = [g.get(i, 0.0) for i in range(n)] if self.order == 1 else [
+            h.get((min(i, j), max(i, j)), 0.0) for i in range(n) for j in range(n)
+        ]
+        checks = dict.fromkeys(q for q in self.checked + outputs if isinstance(q, str))
+        live, body = set(checks), []
+        for name, code in reversed(self.lines):
+            # drop what no output or check reads, unless it can raise
+            if name in live or _RAISES_RE.search(code):
+                live.update(_LOCAL_RE.findall(code))
+                body.insert(0, f"    {name} = {code}")
+        lines = ["def kernel(x):", f"    {', '.join(f'x{i}' for i in range(n))}, = x", *body]
+        if checks:
+            test = " and ".join(f"isfinite({q})" for q in checks)
+            lines += [f"    if not ({test}):", "        return None"]
+        return "\n".join(lines + [f"    return ({', '.join(map(_code, outputs))},)\n"])
+
+
+_FLOAT64 = np.dtype(float)
+_KERNELS: dict[tuple, Callable] = {}  # (ast, dimension_s, order), oldest out past 1024
+
+
+def _compile(ast: Node, s: int, order: int) -> Callable:
+    """kernel([x0, .., x_{2s-1}]): flat gradient or Hessian, None on failure."""
+    try:
+        code = _KernelWriter(s, order).source(ast)
+    except ArithmeticError:  # a constant subtree fails or overflows
+        code = "def kernel(x):\n    return None\n"
+    namespace = {"__builtins__": {}, "isfinite": math.isfinite, **_FUNC_TABLE}
+    exec(compile(code, "<expr kernel>", "exec"), namespace)
+    return namespace.pop("kernel")
+
+
+def _as_floats(x, dim: int) -> list:
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+        x = np.asarray(x, dtype=float)
+    if x.shape != (dim,):
+        raise ValueError(f"expected a point of dimension {dim}, got shape {x.shape}")
+    return x.tolist()
 
 
 @dataclass(frozen=True)
@@ -601,6 +590,9 @@ class ScalarField:
     source: str
     ast: Node
     dimension_s: int
+    # kernels by derivative order: hashing the tree for the shared memo
+    # costs more than a kernel call, so each instance looks them up once
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, source: str, dimension_s: int) -> "ScalarField":
@@ -611,36 +603,43 @@ class ScalarField:
         return 2 * self.dimension_s
 
     def value(self, x) -> float:
-        env = _as_floats(x, self.dim)
-        out = _evaluate(self.ast, env, self.dimension_s)
-        return float(out)
+        return float(_evaluate(self.ast, _as_floats(x, self.dim), self.dimension_s))
 
+    # gradient and hessian repeat their few lines: a shared helper would
+    # add a call to the innermost loop of every flow
     def gradient(self, x) -> np.ndarray:
-        vals = _as_floats(x, self.dim)
-        basis = _basis(self.dim)
-        env = tuple(Dual(v, basis[i]) for i, v in enumerate(vals))
-        out = _evaluate(self.ast, env, self.dimension_s)
-        if isinstance(out, Dual):
-            grad = np.array(out.d, dtype=float)
-        else:  # expression without variables
-            grad = np.zeros(self.dim)
-        if not np.all(np.isfinite(grad)):
-            raise EvaluationError("non finite gradient", self.source)
-        return grad
+        vals = _as_floats(x, 2 * self.dimension_s)
+        kernel = self._kernels.get(1) or self._kernel(1)
+        try:
+            out = kernel(vals)
+        except (ArithmeticError, ValueError):
+            out = None
+        return self._fail(vals, 1) if out is None else np.array(out)
 
     def hessian(self, x) -> np.ndarray:
-        vals = _as_floats(x, self.dim)
-        basis = _basis(self.dim)
-        zero = _zero_hess(self.dim)
-        env = tuple(HessDual(v, basis[i], zero) for i, v in enumerate(vals))
-        out = _evaluate(self.ast, env, self.dimension_s)
-        if isinstance(out, HessDual):
-            hess = np.array(out.h, dtype=float)
-        else:
-            hess = np.zeros((self.dim, self.dim))
-        if not np.all(np.isfinite(hess)):
-            raise EvaluationError("non finite hessian", self.source)
-        return hess
+        n = 2 * self.dimension_s
+        vals = _as_floats(x, n)
+        kernel = self._kernels.get(2) or self._kernel(2)
+        try:
+            out = kernel(vals)
+        except (ArithmeticError, ValueError):
+            out = None
+        return self._fail(vals, 2) if out is None else np.array(out).reshape(n, n)
+
+    def _fail(self, vals: list, order: int):
+        """A kernel check failed: the tree walk names the subexpression."""
+        _evaluate(self.ast, vals, self.dimension_s, order)
+        raise EvaluationError(f"non finite {('gradient', 'hessian')[order - 1]}", self.source)
+
+    def _kernel(self, order: int) -> Callable:
+        key = (self.ast, self.dimension_s, order)
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            if len(_KERNELS) >= 1024:
+                del _KERNELS[next(iter(_KERNELS))]
+            kernel = _KERNELS[key] = _compile(self.ast, self.dimension_s, order)
+        self._kernels[order] = kernel
+        return kernel
 
     def serialized(self) -> str:
         return serialize(self.ast)

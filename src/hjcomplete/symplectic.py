@@ -230,8 +230,8 @@ def hamiltonian_vf(
 
     In block form X_f = (df/dp, -df/dq), so for example the field of 'q1'
     is the constant vector with -1 in the p1 slot.  Parsed scalars get an
-    exact Jacobian through second order duals; procedural scalars fall
-    back to a central difference Jacobian.
+    exact Jacobian from their generated Hessian kernel; procedural scalars
+    fall back to a central difference Jacobian.
     """
     s = f.dimension_s
 
@@ -262,8 +262,8 @@ def poisson(f: ScalarLike, g: ScalarLike, x) -> float:
 def poisson_field(f: ScalarField, g: ScalarField) -> ProceduralScalar:
     """The bracket {f, g} as a scalar with an exact gradient.
 
-    grad {f,g} = Hf J grad g - Hg J grad f, assembled from second order
-    dual evaluations of f and g.
+    grad {f,g} = Hf J grad g - Hg J grad f, assembled from the exact
+    gradients and Hessians of f and g.
     """
     if f.dimension_s != g.dimension_s:
         raise ValueError("fields must share dimension_s")

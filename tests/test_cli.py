@@ -336,3 +336,26 @@ def test_auto_fibration_feeds_construct(tmp_path):
     report = _report(out)
     assert report["fibration"]["mode"] == "auto"
     assert report["fibration"]["sources"] == ["q1"]
+
+
+def test_integrability_reports_a_derivative_fault(tmp_path, capsys):
+    """sqrt is not differentiable at 0: a numerical failure, not a crash."""
+    cfg = _write(
+        tmp_path,
+        "cone.json",
+        {
+            "dimension_s": 1,
+            "hamiltonian": "sqrt(q1^2 + p1^2)",
+            "fibration": ["q1"],
+            "base_point": [0.0, 0.0],
+            "integrals": ["sqrt(q1^2 + p1^2)"],
+        },
+    )
+    out = str(tmp_path / "run")
+    assert main(["integrability", "--config", cfg, "--out", out]) == 2
+    error = _report(out)["error"]
+    assert error["type"] == "EvaluationError"
+    assert error["message"] == (
+        "sqrt is not differentiable at 0.0 in 'sqrt(q1^2.0 + p1^2.0)'"
+    )
+    assert "numerical failure" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import numpy.testing as npt
@@ -19,6 +20,7 @@ from hjcomplete.expr import (
     parse,
     serialize,
 )
+from hjcomplete import expr
 from hjcomplete.expr import FUNCTION_NAMES
 from hjcomplete.symplectic import fd_jacobian
 
@@ -273,3 +275,257 @@ def test_procedural_scalar():
     npt.assert_allclose(f.gradient(x), [6.0, 0.0])
     F = MapField((f,), 1)
     npt.assert_allclose(F.jacobian(x), [[6.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# generated kernels against the second order dual numbers they replaced
+
+
+class _HessDual:
+    """Second order dual number of the former evaluator, kept as reference."""
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    def _map(self, v, fg, fh):
+        return _HessDual(
+            v, tuple(fg(a) for a in self.g), tuple(tuple(fh(a) for a in r) for r in self.h)
+        )
+
+    def _zip(self, o, v, op):
+        g = tuple(op(a, b) for a, b in zip(self.g, o.g))
+        h = tuple(tuple(op(a, b) for a, b in zip(ra, rb)) for ra, rb in zip(self.h, o.h))
+        return _HessDual(v, g, h)
+
+    def __add__(self, o):
+        if isinstance(o, _HessDual):
+            return self._zip(o, self.v + o.v, lambda a, b: a + b)
+        return _HessDual(self.v + o, self.g, self.h)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, _HessDual):
+            return self._zip(o, self.v - o.v, lambda a, b: a - b)
+        return _HessDual(self.v - o, self.g, self.h)
+
+    def __rsub__(self, o):
+        return (-self) + o
+
+    def __neg__(self):
+        return self._map(-self.v, lambda a: -a, lambda a: -a)
+
+    def __mul__(self, o):
+        if not isinstance(o, _HessDual):
+            return self._map(self.v * o, lambda a: a * o, lambda a: a * o)
+        av, bv, ag, bg = self.v, o.v, self.g, o.g
+        g = tuple(a * bv + av * b for a, b in zip(ag, bg))
+        h = tuple(
+            tuple(
+                ha * bv + ag[i] * bg[j] + ag[j] * bg[i] + av * hb
+                for j, (ha, hb) in enumerate(zip(ra, rb))
+            )
+            for i, (ra, rb) in enumerate(zip(self.h, o.h))
+        )
+        return _HessDual(av * bv, g, h)
+
+    __rmul__ = __mul__
+
+    def _inv(self):
+        w = 1.0 / self.v
+        w2 = w * w
+        sg = self.g
+        h = tuple(
+            tuple((2.0 * sg[i] * sg[j] * w - hij) * w2 for j, hij in enumerate(r))
+            for i, r in enumerate(self.h)
+        )
+        return _HessDual(w, tuple(-a * w2 for a in sg), h)
+
+    def __truediv__(self, o):
+        if isinstance(o, _HessDual):
+            return self * o._inv()
+        return self * (1.0 / o)
+
+    def __rtruediv__(self, o):
+        return self._inv() * o
+
+    def apply(self, f, f1, f2):
+        a, b, ug = f1(self.v), f2(self.v), self.g
+        h = tuple(
+            tuple(a * hij + b * ug[i] * ug[j] for j, hij in enumerate(r))
+            for i, r in enumerate(self.h)
+        )
+        return _HessDual(f(self.v), tuple(a * di for di in ug), h)
+
+
+_REFERENCE_FUNCS = {
+    "sin": (math.sin, math.cos, lambda v: -math.sin(v)),
+    "cos": (math.cos, lambda v: -math.sin(v), lambda v: -math.cos(v)),
+    "exp": (math.exp, math.exp, math.exp),
+    "log": (math.log, lambda v: 1.0 / v, lambda v: -1.0 / (v * v)),
+    "sqrt": (math.sqrt, lambda v: 0.5 / math.sqrt(v), lambda v: -0.25 / (v * math.sqrt(v))),
+}
+
+
+def _reference(node, env, s):
+    """Dual-number evaluation; integer powers take the kernels' product chain."""
+
+    def call(name, u):
+        funcs = _REFERENCE_FUNCS[name]
+        return funcs[0](u) if isinstance(u, float) else u.apply(*funcs)
+
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.index - 1 if node.kind == "q" else s + node.index - 1]
+    if isinstance(node, Neg):
+        return -_reference(node.operand, env, s)
+    if isinstance(node, Call):
+        return call(node.func, _reference(node.arg, env, s))
+    left = _reference(node.left, env, s)
+    if node.op == "^":
+        n = expr._integer_exponent(node.right)
+        if n == 0:
+            return 1.0
+        if n is not None:
+            p = expr._square_and_multiply(left, abs(n), operator.mul)
+            return p if n > 0 else 1.0 / p
+        return call("exp", _reference(node.right, env, s) * call("log", left))
+    right = _reference(node.right, env, s)
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[
+        node.op
+    ](left, right)
+
+
+def _reference_derivative(tree, x, s, order):
+    n = 2 * s
+    basis = [tuple(float(i == j) for j in range(n)) for i in range(n)]
+    zero = tuple((0.0,) * n for _ in range(n))
+    out = _reference(tree, [_HessDual(v, basis[i], zero) for i, v in enumerate(x)], s)
+    if not isinstance(out, _HessDual):
+        return np.zeros((n,) * order)
+    if order == 1:
+        return np.array(out.g)
+    upper = np.triu(np.array(out.h))  # the upper triangle depends on upper entries only
+    return upper + np.triu(upper, 1).T
+
+
+def _kernel_cases(s):
+    leaves = st.one_of(
+        st.builds(Num, st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))),
+        st.builds(Var, st.sampled_from("qp"), st.integers(1, s)),
+    )
+    exponents = st.one_of(
+        st.builds(Num, st.integers(0, 5).map(float)),
+        st.builds(Neg, st.builds(Num, st.integers(1, 3).map(float))),
+        st.builds(Num, st.floats(0.1, 2.5)),
+    )
+
+    trees = st.recursive(
+        leaves,
+        lambda sub: st.one_of(
+            st.builds(Neg, sub),
+            st.builds(Call, st.sampled_from(FUNCTION_NAMES), sub),
+            st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+            st.builds(BinOp, st.just("^"), sub, st.one_of(exponents, sub)),
+        ),
+        max_leaves=10,
+    )
+    coordinate = st.one_of(st.just(0.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05))
+    point = st.lists(coordinate, min_size=2 * s, max_size=2 * s)
+    return st.tuples(st.just(s), trees, point)
+
+
+@given(st.integers(1, 3).flatmap(_kernel_cases))
+def test_kernels_match_dual_numbers(case):
+    """Kernel gradients and Hessians agree with the dual numbers to 1e-14
+    relative, and where the tree walk fails the kernel path fails with the
+    same message."""
+    s, tree, x = case
+    f = ScalarField(serialize(tree), tree, s)
+    for order, method in ((1, f.gradient), (2, f.hessian)):
+        try:
+            expr._evaluate(tree, x, s, order)
+        except EvaluationError as exc:
+            with pytest.raises(EvaluationError) as err:
+                method(x)
+            assert str(err.value) == str(exc)
+            continue
+        try:
+            ref = _reference_derivative(tree, x, s, order)
+        except (ArithmeticError, ValueError):
+            ref = np.array(np.nan)
+        if not np.all(np.isfinite(ref)):
+            with pytest.raises(EvaluationError, match="non finite"):
+                method(x)
+            continue
+        npt.assert_allclose(method(x), ref, rtol=1e-14, atol=0)
+
+
+def test_sqrt_derivative_at_zero_names_the_subexpression():
+    f = ScalarField.parse("sqrt(q1) + p1", 1)
+    x = np.array([0.0, 1.0])
+    assert f.value(x) == 1.0
+    for method in (f.gradient, f.hessian):
+        with pytest.raises(EvaluationError, match="not differentiable") as err:
+            method(x)
+        assert err.value.subexpression == "sqrt(q1)"
+    # a constant argument has no derivative to take
+    npt.assert_array_equal(ScalarField.parse("sqrt(0)*q1", 1).gradient(x), [0.0, 0.0])
+
+
+def test_overflowing_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("1e999", 1)
+    assert err.value.offset == 0
+    with pytest.raises(ParseError) as err:
+        parse("q1*1e999", 1)
+    assert err.value.offset == 3
+    assert parse("1e308", 1) == Num(1e308)
+
+
+@pytest.mark.parametrize(
+    "source", ["__import__('os')", "q1.real", "os.system(q1)", "(lambda: 0)()"]
+)
+def test_hostile_sources_fail_to_parse(source, monkeypatch):
+    calls = []
+    monkeypatch.setattr(expr, "_compile", lambda *a: calls.append(a))
+    with pytest.raises(ParseError):
+        ScalarField.parse(source, 1)
+    assert calls == []
+
+
+def test_kernels_run_without_builtins():
+    f = ScalarField.parse("sin(q1)*exp(p1) + sqrt(1 + q1^2)/log(2 + p1^2)", 1)
+    f.gradient([0.3, 0.4])
+    f.hessian([0.3, 0.4])
+    allowed = {"__builtins__", "isfinite", *FUNCTION_NAMES}
+    for kernel in f._kernels.values():
+        assert set(kernel.__globals__) == allowed
+        assert kernel.__globals__["__builtins__"] == {}
+        assert kernel.__globals__["isfinite"] is math.isfinite
+        for name in FUNCTION_NAMES:
+            assert kernel.__globals__[name] is getattr(math, name)
+
+
+def test_kernels_compile_once_per_order_and_dimension(monkeypatch):
+    compiled = []
+    real = expr._compile
+
+    def counting(ast, s, order):
+        compiled.append((s, order))
+        return real(ast, s, order)
+
+    monkeypatch.setattr(expr, "_KERNELS", {})
+    monkeypatch.setattr(expr, "_compile", counting)
+    x = np.array([0.3, 0.4])
+    for _ in range(2):
+        f = ScalarField.parse("q1^2*p1/2", 1)
+        for _ in range(3):
+            f.gradient(x)
+            f.hessian(x)
+    assert compiled == [(1, 1), (1, 2)]
+    g = ScalarField.parse("q1^2*p1/2", 2)
+    assert g.ast == f.ast
+    npt.assert_allclose(g.gradient([0.3, 0.0, 0.4, 0.0]), [0.12, 0.0, 0.045, 0.0])
+    assert compiled == [(1, 1), (1, 2), (2, 1)]
