@@ -395,6 +395,7 @@ def _evaluate(node: Node, env: Sequence[float], s: int, order: int = 0) -> float
 # A kernel fails when a binary operation's value or an output is not
 # finite, and on a domain fault (ArithmeticError or ValueError).
 
+
 def _code(q) -> str:
     if isinstance(q, float) and not math.isfinite(q):
         raise OverflowError("non finite constant")
@@ -406,7 +407,7 @@ def _neg(a):
 
 
 def _op(a, op: str, b):
-    """a op b for op in '+-*'."""
+    """a op b for op in '+-*', where None is a structural zero."""
     if a is None or b is None:
         if op == "*" or b is None:
             return None if op == "*" else a

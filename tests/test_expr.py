@@ -227,6 +227,12 @@ def test_domain_errors_name_subexpression():
     with pytest.raises(EvaluationError) as err:
         f.value(np.array([-1.0, 0.0]))
     assert "log(q1)" in str(err.value)
+    # no derivative reads log's value, yet its domain still holds
+    g = ScalarField.parse("log(q1)", 1)
+    for method in (g.gradient, g.hessian):
+        with pytest.raises(EvaluationError, match="domain error") as err:
+            method(np.array([-1.0, 0.0]))
+        assert err.value.subexpression == "log(q1)"
     with pytest.raises(EvaluationError):
         ScalarField.parse("sqrt(q1)", 1).value(np.array([-0.5, 0.0]))
     with pytest.raises(EvaluationError):
@@ -239,6 +245,12 @@ def test_overflow_aborts():
     f = ScalarField.parse("exp(exp(exp(q1)))", 1)
     with pytest.raises(EvaluationError):
         f.value(np.array([10.0, 0.0]))
+    # exp(-inf) = 0 would hide this overflow from every derivative output
+    g = ScalarField.parse("exp(-(q1*q1*q1))", 1)
+    for method in (g.value, g.gradient, g.hessian):
+        with pytest.raises(EvaluationError, match="non finite result") as err:
+            method(np.array([1e110, 0.0]))
+        assert err.value.subexpression == "q1*q1*q1"
 
 
 def test_integer_exponents_allow_negative_base():
