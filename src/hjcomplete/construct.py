@@ -353,7 +353,6 @@ class FrameState:
     lifts of _level_poisson).  tower holds one chart per field.
     """
 
-    hamiltonian: ScalarField
     fibration: MapField
     basepoint: np.ndarray
     fields: tuple[VectorField, ...]
@@ -405,7 +404,6 @@ def init_frame(
     tower = ChartTower((), (_canonical_poisson(s),), s).extended(chart)
     kernel = nullspace(fibration.jacobian(m), tolerances.rank)
     return FrameState(
-        hamiltonian=hamiltonian,
         fibration=fibration,
         basepoint=m,
         fields=(xh,),

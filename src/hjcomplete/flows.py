@@ -1,11 +1,13 @@
 """Flows of vector fields and flow box charts.
 
-The integrator is an embedded Runge-Kutta-Fehlberg 4(5) pair propagating
-the fifth order solution under a per step error test.  When adaptive step
-control underflows it raises FlowError rather than trade the tolerance for
-a coarser answer; a fixed step classical RK4 is available only on request
-(method "rk4-fixed").  The tangent variant integrates the variational
-equation alongside the state and returns the flow differential.
+The integrator is the embedded Runge-Kutta-Fehlberg 4(5) pair on one
+(6, n) stage array: the fifth order solution propagates, the per step
+error test applies b5 - b4 to the stages, and a rejected step keeps its
+first stage.  When adaptive step control underflows it raises FlowError
+rather than trade the tolerance for a coarser answer; a fixed step
+classical RK4 is available only on request (method "rk4-fixed").  The
+tangent variant integrates the variational equation alongside the state
+and returns the flow differential.
 
 A FlowBoxChart realizes the straightening map of an ordered, commuting,
 form orthogonal frame X_1..X_r near a base point m:
@@ -26,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .newton import NewtonError, newton_solve
-from .symplectic import VectorField, numerical_rank
+from .symplectic import VectorField, numerical_rank, structure_matrix
 
 __all__ = [
     "FlowError",
@@ -61,18 +63,16 @@ class IntegratorSettings:
             raise ValueError(f"unknown integrator method {self.method!r}")
 
 
-# Fehlberg tableau
-_C = (0.0, 0.25, 0.375, 12.0 / 13.0, 1.0, 0.5)
-_A = (
-    (),
-    (0.25,),
-    (3.0 / 32.0, 9.0 / 32.0),
-    (1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0),
-    (439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0),
-    (-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0),
-)
-_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0, -9.0 / 50.0, 2.0 / 55.0)
-_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -1.0 / 5.0, 0.0)
+# Fehlberg tableau: the lower triangular stage matrix, the fifth order
+# weights, and their difference from the embedded fourth order weights
+_A = np.zeros((6, 6))
+_A[1, :1] = (1 / 4,)
+_A[2, :2] = (3 / 32, 9 / 32)
+_A[3, :3] = (1932 / 2197, -7200 / 2197, 7296 / 2197)
+_A[4, :4] = (439 / 216, -8, 3680 / 513, -845 / 4104)
+_A[5, :5] = (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40)
+_B5 = np.array((16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
+_E = _B5 - np.array((25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0))
 
 _MIN_STEP_FRACTION = 1e-14
 
@@ -104,45 +104,37 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
     sign = 1.0 if t_end > 0.0 else -1.0
     span = abs(t_end)
     x = x0.copy()
-    f0 = rhs(x)
-    if not np.all(np.isfinite(f0)):
+    K = np.empty((6, x.shape[0]))
+    K[0] = rhs(x)
+    if not np.all(np.isfinite(K[0])):
         raise FlowError("non finite right hand side at start")
-    scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(f0)))
+    scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(K[0])))
     h = sign * min(span, max(1e-6, 0.01 * scale0))
     t = 0.0
-    steps = 0
-    while True:
-        steps += 1
-        if steps > settings.max_steps:
-            raise FlowError("step count exceeded in adaptive integration")
+    for _ in range(settings.max_steps):
         if abs(h) > abs(t_end - t):
             h = t_end - t
-        k = [f0 if steps == 1 and t == 0.0 else rhs(x)]
         for i in range(1, 6):
-            xi = x + h * sum(a * kj for a, kj in zip(_A[i], k))
-            k.append(rhs(xi))
-        x5 = x + h * sum(b * kj for b, kj in zip(_B5, k))
-        x4 = x + h * sum(b * kj for b, kj in zip(_B4, k))
-        if not (np.all(np.isfinite(x5)) and np.all(np.isfinite(x4))):
+            K[i] = rhs(x + h * (_A[i, :i] @ K[:i]))
+        x5 = x + h * (_B5 @ K)
+        delta = h * (_E @ K)
+        if not (np.all(np.isfinite(x5)) and np.all(np.isfinite(delta))):
             raise FlowError("non finite state in adaptive integration")
         sc = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean(((x5 - x4) / sc) ** 2)))
+        err = float(np.sqrt(np.mean((delta / sc) ** 2)))
         if err <= 1.0:
             t += h
             x = x5
-            f0 = None  # force fresh slope next step
             if abs(t - t_end) <= _MIN_STEP_FRACTION * span:
                 return x
-        if err == 0.0:
-            factor = 5.0
-        else:
-            factor = min(5.0, max(0.2, 0.9 * err ** -0.2))
-        h *= factor
+            K[0] = rhs(x)  # a rejected step keeps the slope at its start
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
         if abs(h) < _MIN_STEP_FRACTION * max(1.0, span):
             raise FlowError(
                 f"adaptive step underflow at t = {t:.6e}: h = {h:.3e}, "
                 f"t_end = {t_end:.6e}"
             )
+    raise FlowError("step count exceeded in adaptive integration")
 
 
 def flow(
@@ -197,8 +189,7 @@ class FlowBoxChart:
 
     basepoint and the frame live in the ambient coordinates; slice_basis
     columns span a transversal through the base point.  domain_radius is
-    the validated radius of the coordinate box.  poisson, when given, is
-    the ambient Poisson matrix field (defaults to the canonical one).
+    the validated radius of the coordinate box.
     """
 
     basepoint: np.ndarray
@@ -207,7 +198,6 @@ class FlowBoxChart:
     domain_radius: float
     settings: IntegratorSettings = dc_field(default_factory=IntegratorSettings)
     tolerances: Tolerances = DEFAULT_TOLERANCES
-    poisson: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     PROBE_COUNT = 20
     MIN_RADIUS = 1e-3
@@ -219,13 +209,6 @@ class FlowBoxChart:
     @property
     def rank(self) -> int:
         return len(self.frame)
-
-    def _omega_pair(self, u: np.ndarray, v: np.ndarray, at: np.ndarray) -> float:
-        if self.poisson is None:
-            s = self.dim // 2
-            return float(u[:s] @ v[s:] - u[s:] @ v[:s])
-        lam = self.poisson(at)
-        return float(-u @ np.linalg.solve(lam, v))
 
     @classmethod
     def build(
@@ -239,7 +222,12 @@ class FlowBoxChart:
     ) -> "FlowBoxChart":
         """Build and validate a chart: slice from the SVD complement of the
         frame at the base point, radius shrunk until Newton inversion
-        succeeds at PROBE_COUNT boundary points."""
+        succeeds at PROBE_COUNT boundary points.
+
+        The frame must pair to zero under the form omega = -lambda^-1 at
+        the base point, where lambda is the ambient Poisson matrix field
+        poisson (the canonical one when None).
+        """
         basepoint = np.asarray(basepoint, dtype=float)
         frame = tuple(frame)
         n = basepoint.shape[0]
@@ -250,17 +238,14 @@ class FlowBoxChart:
             F = np.column_stack([X(basepoint) for X in frame])
             if numerical_rank(F, tolerances.rank) < r:
                 raise ChartError("frame fields are dependent at the base point")
-            chart_probe = cls(
-                basepoint, frame, np.zeros((n, 0)), 0.0, settings, tolerances, poisson
-            )
-            for i in range(r):
-                for j in range(i + 1, r):
-                    w = chart_probe._omega_pair(F[:, i], F[:, j], basepoint)
-                    if abs(w) > tolerances.residual:
-                        raise ChartError(
-                            f"frame fields {i} and {j} are not form orthogonal "
-                            f"at the base point: omega = {w:.3e}"
-                        )
+            lam = structure_matrix(n // 2) if poisson is None else poisson(basepoint)
+            W = -F.T @ np.linalg.solve(lam, F)
+            for i, j in zip(*np.triu_indices(r, 1)):
+                if abs(W[i, j]) > tolerances.residual:
+                    raise ChartError(
+                        f"frame fields {i} and {j} are not form orthogonal "
+                        f"at the base point: omega = {W[i, j]:.3e}"
+                    )
             U, _, _ = np.linalg.svd(F)
             slice_basis = _canonicalize_columns(U[:, r:])
         else:
@@ -271,9 +256,7 @@ class FlowBoxChart:
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radius = float(initial_radius)
         while radius >= cls.MIN_RADIUS:
-            chart = cls(
-                basepoint, frame, slice_basis, radius, settings, tolerances, poisson
-            )
+            chart = cls(basepoint, frame, slice_basis, radius, settings, tolerances)
             if chart._probe_domain(dirs * radius):
                 return chart
             radius *= 0.5

@@ -9,6 +9,7 @@ command code downstream assumes a well-formed RunConfig.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -128,6 +129,19 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(v) -> bool:
+    """An integer that is not a bool (isinstance(True, int) holds)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite number; json.load admits NaN and Infinity."""
+    try:
+        return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw configuration dictionary into a RunConfig."""
     _require(isinstance(raw, dict), "configuration must be a JSON object")
@@ -144,7 +158,7 @@ def parse_config(raw: dict) -> RunConfig:
 
     _require("dimension_s" in raw, "dimension_s is required")
     s = raw["dimension_s"]
-    _require(isinstance(s, int) and s >= 1, "dimension_s must be a positive integer")
+    _require(_is_int(s) and s >= 1, "dimension_s must be a positive integer")
 
     _require("hamiltonian" in raw, "hamiltonian is required")
     ham = raw["hamiltonian"]
@@ -162,7 +176,7 @@ def parse_config(raw: dict) -> RunConfig:
     if fib == "auto":
         _require(auto_k is not None, 'fibration "auto" requires auto_k')
         _require(
-            isinstance(auto_k, int) and 1 <= auto_k <= s,
+            _is_int(auto_k) and 1 <= auto_k <= s,
             f"auto_k must be an integer in [1, {s}]",
         )
         sources = None
@@ -178,7 +192,7 @@ def parse_config(raw: dict) -> RunConfig:
     base = raw["base_point"]
     _require(
         isinstance(base, list) and len(base) == 2 * s
-        and all(isinstance(v, (int, float)) for v in base),
+        and all(_is_real(v) for v in base),
         f"base_point must be a list of {2 * s} numbers",
     )
 
@@ -190,22 +204,22 @@ def parse_config(raw: dict) -> RunConfig:
     )
     for key, val in tol_raw.items():
         _require(
-            isinstance(val, (int, float)) and val > 0,
-            f"tolerance {key} must be positive",
+            _is_real(val) and val > 0,
+            f"tolerance {key} must be positive and finite",
         )
     tolerances = DEFAULT_TOLERANCES.with_(**tol_raw)
 
     radius = raw.get("domain_radius", 0.5)
     _require(
-        isinstance(radius, (int, float)) and radius > 0,
-        "domain_radius must be positive",
+        _is_real(radius) and radius > 0,
+        "domain_radius must be positive and finite",
     )
     probes = raw.get("probes", 50)
-    _require(isinstance(probes, int) and probes >= 1, "probes must be >= 1")
+    _require(_is_int(probes) and probes >= 1, "probes must be >= 1")
     grid = raw.get("lambda_grid", 3)
-    _require(isinstance(grid, int) and grid >= 1, "lambda_grid must be >= 1")
+    _require(_is_int(grid) and grid >= 1, "lambda_grid must be >= 1")
     seed = raw.get("seed", 0)
-    _require(isinstance(seed, int) and seed >= 0, "seed must be a non-negative integer")
+    _require(_is_int(seed) and seed >= 0, "seed must be a non-negative integer")
 
     integrals = raw.get("integrals")
     if integrals is not None:

@@ -200,6 +200,23 @@ def test_bad_probe_override_exits_three(tmp_path):
     assert code == 3
 
 
+def test_non_finite_base_point_exits_three(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {
+            "dimension_s": 1,
+            "hamiltonian": "p1^2/2",
+            "fibration": ["q1"],
+            "base_point": [float("nan"), 1.0],
+        },
+    )
+    assert "NaN" in (tmp_path / "cfg.json").read_text()
+    code = main(["check", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "base_point" in capsys.readouterr().err
+
+
 def test_characteristic_command(tmp_path):
     out = str(tmp_path / "run")
     code = main(

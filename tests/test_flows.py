@@ -129,6 +129,43 @@ def test_step_underflow_raises(monkeypatch):
         flow(_harmonic_field(), np.array([0.3, -0.7]), 1.0)
 
 
+def test_rejected_step_reuses_its_slope():
+    """A rejected step retries with the slope it already has at its start."""
+    x0 = np.array([0.3])
+    k0 = 0.01 * np.sin(1e4 * x0)
+    args = []
+
+    def rhs(x):
+        args.append(x.copy())
+        return 0.01 * np.sin(1e4 * x)
+
+    flows._integrate(rhs, x0, 0.05, IntegratorSettings())
+    assert sum(a.tobytes() == x0.tobytes() for a in args) == 1
+    # the second stage sits at x0 + h/4 k0: the first step was rejected and
+    # its retry from x0 took a shorter h
+    first_h, retry_h = ((args[i] - x0) / (0.25 * k0) for i in (1, 6))
+    assert 0.0 < retry_h[0] < first_h[0]
+
+
+def test_non_finite_slope_at_start_raises():
+    field = VectorField(
+        lambda x: np.full_like(x, np.inf), lambda x: np.zeros((2, 2)), 1
+    )
+    with pytest.raises(FlowError, match="non finite right hand side at start"):
+        flow(field, np.array([0.3, -0.7]), 1.0)
+
+
+def test_non_finite_stage_raises():
+    # finite at the start, NaN once any stage moves past q = 1
+    field = VectorField(
+        lambda x: np.where(x[0] <= 1.0, np.array([1.0, 0.0]), np.nan),
+        lambda x: np.zeros((2, 2)),
+        1,
+    )
+    with pytest.raises(FlowError, match="non finite state in adaptive integration"):
+        flow(field, np.array([1.0, 0.0]), 1.0)
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValueError):
         IntegratorSettings(method="euler")
@@ -204,3 +241,31 @@ def test_chart_slice_deterministic():
     b = _harmonic_chart()
     assert a.slice_basis.tobytes() == b.slice_basis.tobytes()
     assert a.domain_radius == b.domain_radius
+
+
+def _constant(vector):
+    v = np.asarray(vector, dtype=float)
+    return VectorField(lambda x: v.copy(), lambda x: np.zeros((4, 4)), 2)
+
+
+def test_pairing_follows_the_supplied_poisson_matrix():
+    # lambda^-1 = omega pairs (q1, q2) and (p1, p2), not (q1, p1)
+    omega = np.array(
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
+    )
+    lam = np.linalg.inv(omega)
+    e = np.eye(4)
+    # e1, e2: canonically orthogonal, paired to -1 under lam
+    with pytest.raises(ChartError, match="orthogonal"):
+        FlowBoxChart.build(
+            np.zeros(4), [_constant(e[0]), _constant(e[1])], poisson=lambda y: lam
+        )
+    # e1, e3: canonically paired, orthogonal under lam
+    with pytest.raises(ChartError, match="orthogonal"):
+        FlowBoxChart.build(np.zeros(4), [_constant(e[0]), _constant(e[2])])
+    chart = FlowBoxChart.build(
+        np.zeros(4), [_constant(e[0]), _constant(e[2])], poisson=lambda y: lam
+    )
+    assert chart.rank == 2
+    y = np.array([0.1, -0.2, 0.05, 0.03]) * chart.domain_radius
+    assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-10

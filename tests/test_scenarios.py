@@ -69,6 +69,33 @@ def test_invalid_configs_rejected(patch, message):
         parse_config(raw)
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        ({"dimension_s": True}, "positive integer"),
+        ({"fibration": "auto", "auto_k": True}, "auto_k"),
+        ({"base_point": [float("nan"), 1.0]}, "2 numbers"),
+        ({"base_point": [0.0, float("inf")]}, "2 numbers"),
+        ({"base_point": [True, 1.0]}, "2 numbers"),
+        ({"base_point": [10**400, 1.0]}, "2 numbers"),
+        ({"tolerances": {"residual": float("inf")}}, "tolerance residual"),
+        ({"tolerances": {"newton": float("nan")}}, "tolerance newton"),
+        ({"tolerances": {"rank": True}}, "tolerance rank"),
+        ({"domain_radius": float("inf")}, "domain_radius"),
+        ({"domain_radius": True}, "domain_radius"),
+        ({"probes": True}, "probes"),
+        ({"lambda_grid": True}, "lambda_grid"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_bools_and_non_finite_numbers_rejected(patch, message):
+    """json.load admits NaN and Infinity, and isinstance(True, int) holds."""
+    raw = dict(_MINIMAL)
+    raw.update(patch)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(raw)
+
+
 def test_missing_required_keys():
     for key in ("dimension_s", "hamiltonian", "fibration", "base_point"):
         raw = dict(_MINIMAL)
