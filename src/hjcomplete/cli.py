@@ -252,9 +252,8 @@ def cmd_check(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
 
 
 def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
-    m, hamiltonian, fibration, fib_meta, F, solution = _construct_pipeline(cfg)
-    points = F.sample_points(cfg.probes, cfg.seed)
-    suite = _verification_suite(cfg, hamiltonian, fibration, F, solution, points)
+    _, hamiltonian, fibration, fib_meta, F, solution = _construct_pipeline(cfg)
+    suite = _verification_suite(cfg, hamiltonian, fibration, F, solution, F.points)
 
     s = cfg.dimension_s
     k, l = F.k, F.l
@@ -275,7 +274,7 @@ def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
         + [f"p{i + 1}" for i in range(s)]
         + [f"F{i + 1}" for i in range(l)]
     )
-    int_rows = [list(x) + list(F.integrals.value(x)) for x in points]
+    int_rows = [list(x) + list(F.integrals.value(x)) for x in F.points]
     files.append(
         _write_table(os.path.join(outdir, "integrals_grid"), int_header, int_rows, fmt)
     )
@@ -284,9 +283,7 @@ def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
         "command": "construct",
         "config": cfg.echo(),
         "fibration": fib_meta,
-        "assumptions": _assumptions_dict(
-            check_assumptions(hamiltonian, fibration, m, cfg.tolerances)
-        ),
+        "assumptions": _assumptions_dict(F.state.assumptions),
         "construction": _canon(F.diagnostics),
         "boxes": {
             "n": _canon(solution.n_box),

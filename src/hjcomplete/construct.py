@@ -92,12 +92,13 @@ class DomainBoxError(ValueError):
 # chart tower
 
 
-def _constant_field(vector: np.ndarray, dim_s: int, label: str) -> VectorField:
-    n = vector.shape[0]
-    zero = np.zeros((n, n))
-    return VectorField(
-        lambda x, v=vector: v.copy(), lambda x, z=zero: z.copy(), dim_s, label=label
-    )
+def _constant_field(vector: np.ndarray, dim_s: int) -> VectorField:
+    zero = np.zeros((vector.shape[0],) * 2)
+
+    def evaluate(x: np.ndarray, derivative: bool = False):
+        return (vector.copy(), zero.copy()) if derivative else vector.copy()
+
+    return VectorField(evaluate, dim_s)
 
 
 def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
@@ -125,9 +126,9 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
 
     def lam(y: np.ndarray, derivative: bool = False):
         z = base + S @ np.asarray(y, dtype=float)[r:]
+        evals = [fld.evaluate(z, derivative) for fld in frame]
         Q = np.empty((n, n))
-        for i, fld in enumerate(frame):
-            Q[:, i] = fld(z)
+        Q[:, :r] = np.column_stack([e[0] for e in evals] if derivative else evals)
         Q[:, r:] = S
         Qinv = np.linalg.inv(Q)
         if not derivative:
@@ -135,7 +136,7 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
         L, dL = parent(z, derivative=True)
         out = Qinv @ L @ Qinv.T
         # A[t] holds the head columns Q^{-1} DX_i(z) S[:, t] of A_{r+t}
-        A = Qinv @ np.stack([S.T @ fld.jacobian(z).T for fld in frame], -1)
+        A = Qinv @ np.stack([S.T @ DX.T for _, DX in evals], -1)
         tail = Qinv @ np.moveaxis(dL @ S, -1, 0) @ Qinv.T - A @ out[:r]
         dlam = np.zeros((n, n, n))
         dlam[:, :, r:] = np.moveaxis(tail - out[:, :r] @ A.transpose(0, 2, 1), 0, -1)
@@ -350,11 +351,13 @@ class FrameState:
     fields hold the frame as honest phase-space vector fields (the first
     is always the Hamiltonian field; later ones are procedural, with
     finite-difference Jacobians kept as an oracle: charts flow the exact
-    lifts of _level_poisson).  tower holds one chart per field.
+    lifts of _level_poisson).  tower holds one chart per field, and
+    assumptions the passed hypothesis check at the base point.
     """
 
     fibration: MapField
     basepoint: np.ndarray
+    assumptions: AssumptionReport
     fields: tuple[VectorField, ...]
     tower: ChartTower
     kernel_basis: np.ndarray
@@ -406,6 +409,7 @@ def init_frame(
     return FrameState(
         fibration=fibration,
         basepoint=m,
+        assumptions=report,
         fields=(xh,),
         tower=tower,
         kernel_basis=kernel,
@@ -426,14 +430,12 @@ def _lifted_x_field(
     """
     lam = tower.poissons[-1]
 
-    def evaluator(x: np.ndarray) -> np.ndarray:
+    def evaluate(x: np.ndarray, derivative: bool = False):
         entry = index.solve(x, need_jacobian=True)
-        return entry.jac @ lam(entry.coords)[:, b]
+        value = entry.jac @ lam(entry.coords)[:, b]
+        return (value, fd_jacobian(evaluate, x, fd_step)) if derivative else value
 
-    def jac(x: np.ndarray) -> np.ndarray:
-        return fd_jacobian(evaluator, x, fd_step)
-
-    return VectorField(evaluator, jac, dim_s, label=f"lift[y{b + 1}]")
+    return VectorField(evaluate, dim_s)
 
 
 def _validate_frame_invariants(state: FrameState) -> None:
@@ -541,15 +543,16 @@ def extend_frame(state: FrameState) -> FrameState:
     # matrix.  Isotropy of the enlarged frame is automatic there.
     lam_fn = tower.poissons[-1]
     consts = tuple(
-        _constant_field(np.eye(n)[:, i], state.dimension_s, f"e{i + 1}")
-        for i in range(r)
+        _constant_field(np.eye(n)[:, i], state.dimension_s) for i in range(r)
     )
-    lifted = VectorField(
-        lambda y, fn=lam_fn, b=best_b: fn(y)[:, b],
-        lambda y, fn=lam_fn, b=best_b: fn(y, derivative=True)[1][:, b, :],
-        state.dimension_s,
-        label=f"ghat[y{best_b + 1}]",
-    )
+
+    def ghat(y: np.ndarray, derivative: bool = False):
+        out = lam_fn(y, derivative)
+        if derivative:
+            return out[0][:, best_b], out[1][:, best_b, :]
+        return out[:, best_b]
+
+    lifted = VectorField(ghat, state.dimension_s)
     try:
         new_chart = FlowBoxChart.build(
             np.zeros(n),
@@ -582,13 +585,15 @@ class FirstIntegralSubmersion:
     coordinates of the final chart tower.  Component values and gradients
     share one query-seeded, memoized tower inversion, so they depend on
     the point alone and evaluating all of them at a point costs a single
-    tower solve.
+    tower solve.  points are the probes the build verified at,
+    sample_points(probes, seed).
     """
 
     integrals: MapField
     state: FrameState
     index: TowerIndex
     diagnostics: dict
+    points: np.ndarray
 
     @property
     def dimension_s(self) -> int:
@@ -624,9 +629,7 @@ def _integral_components(
         def gradient(x, i=i):
             return index.solve(x, need_jacobian=True).jac_inv[i].copy()
 
-        comps.append(
-            ProceduralScalar(value, gradient, dim_s, label=f"y{i + 1}")
-        )
+        comps.append(ProceduralScalar(value, gradient, dim_s))
     return tuple(comps)
 
 
@@ -658,9 +661,8 @@ def build_first_integrals(
     integrals = MapField(comps, state.dimension_s)
 
     xh = state.fields[0]
-    points = FirstIntegralSubmersion(
-        integrals, state, index, {}
-    ).sample_points(probes, seed)
+    F = FirstIntegralSubmersion(integrals, state, index, {}, np.empty(0))
+    points = F.sample_points(probes, seed)
 
     drift = 0.0
     transverse = True
@@ -699,7 +701,7 @@ def build_first_integrals(
             "constructed integrals failed verification: " + "; ".join(failures),
             diagnostics,
         )
-    return FirstIntegralSubmersion(integrals, state, index, diagnostics)
+    return replace(F, diagnostics=diagnostics, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,5 +1003,5 @@ def integrals_from_solution(
             y = invert(x)
             return np.linalg.inv(solution._jacobian(y[:k], y[k:]))[k + i].copy()
 
-        comps.append(ProceduralScalar(value, gradient, s, label=f"lambda{i + 1}"))
+        comps.append(ProceduralScalar(value, gradient, s))
     return MapField(tuple(comps), s)

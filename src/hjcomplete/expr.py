@@ -658,7 +658,6 @@ class ProceduralScalar:
     value_fn: Callable[[np.ndarray], float]
     gradient_fn: Callable[[np.ndarray], np.ndarray]
     dimension_s: int
-    label: str = ""
 
     def value(self, x) -> float:
         return float(self.value_fn(np.asarray(x, dtype=float)))

@@ -144,7 +144,7 @@ def flow(
     settings: IntegratorSettings = IntegratorSettings(),
 ) -> np.ndarray:
     """Value of the time t flow of the field from x0."""
-    return _integrate(field.evaluator, np.asarray(x0, dtype=float), float(t), settings)
+    return _integrate(field.evaluate, np.asarray(x0, dtype=float), float(t), settings)
 
 
 def flow_with_tangent(
@@ -156,17 +156,16 @@ def flow_with_tangent(
     """Flow value together with its differential D Phi^t(x0).
 
     Integrates the variational equation dM/dt = DX(x(t)) M, M(0) = I as an
-    augmented system with the state.
+    augmented system with the state; each right-hand side takes X and DX
+    from one evaluation of the field.
     """
     x0 = np.asarray(x0, dtype=float)
     n = x0.shape[0]
-    evaluate = field.evaluator
-    jacobian = field.jacobian_evaluator
+    evaluate = field.evaluate
 
     def rhs(z: np.ndarray) -> np.ndarray:
-        x = z[:n]
-        M = z[n:].reshape(n, n)
-        return np.concatenate([evaluate(x), (jacobian(x) @ M).ravel()])
+        X, DX = evaluate(z[:n], derivative=True)
+        return np.concatenate([X, (DX @ z[n:].reshape(n, n)).ravel()])
 
     z0 = np.concatenate([x0, np.eye(n).ravel()])
     z = _integrate(rhs, z0, float(t), settings)
@@ -284,7 +283,7 @@ class FlowBoxChart:
         x = self.basepoint + self.slice_basis @ y[r:]
         for i in reversed(range(r)):
             if y[i] != 0.0:
-                x = _integrate(self.frame[i].evaluator, x, float(y[i]), self.settings)
+                x = _integrate(self.frame[i].evaluate, x, float(y[i]), self.settings)
         return x
 
     def forward_and_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:

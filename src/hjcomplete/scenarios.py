@@ -167,6 +167,12 @@ def parse_config(raw: dict) -> RunConfig:
             set(ham) == {"cometric", "potential"},
             "simple-Hamiltonian block must have exactly cometric and potential",
         )
+        cometric = ham["cometric"]
+        _require(
+            isinstance(cometric, list) and all(isinstance(r, list) for r in cometric),
+            "cometric must be a list of rows of expressions",
+        )
+        _require(isinstance(ham["potential"], str), "potential must be text")
     else:
         _require(isinstance(ham, str), "hamiltonian must be text or a block")
 

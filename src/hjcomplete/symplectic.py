@@ -33,6 +33,7 @@ __all__ = [
     "contains",
     "VectorField",
     "fd_jacobian",
+    "hamiltonian_jacobian",
     "hamiltonian_vf",
     "poisson",
     "poisson_field",
@@ -184,24 +185,18 @@ def classify(V: Subspace) -> SubspaceClass:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field on R^{2s} with an explicit Jacobian evaluator."""
+    """A vector field X on R^{2s}, given by one evaluation callable.
 
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    jacobian_evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluate(x) returns X(x); evaluate(x, derivative=True) returns the
+    pair (X(x), DX(x)) from one evaluation, and its value is bitwise the
+    plain one.  Calling the field returns X(x).
+    """
+
+    evaluate: Callable[..., np.ndarray]
     dimension_s: int
-    label: str = ""
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.dimension_s
 
     def __call__(self, x) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(x, dtype=float)), dtype=float)
-
-    def jacobian(self, x) -> np.ndarray:
-        return np.asarray(
-            self.jacobian_evaluator(np.asarray(x, dtype=float)), dtype=float
-        )
+        return np.asarray(self.evaluate(np.asarray(x, dtype=float)), dtype=float)
 
 
 def fd_jacobian(
@@ -222,6 +217,16 @@ def fd_jacobian(
 ScalarLike = Union[ScalarField, ProceduralScalar]
 
 
+def hamiltonian_jacobian(
+    f: ScalarLike, x, fd_step: float = DEFAULT_TOLERANCES.fd_step
+) -> np.ndarray:
+    """DX_f(x) = J Hess f(x): exact from the generated Hessian kernel of a
+    parsed scalar, a central difference of X_f for a procedural one."""
+    if isinstance(f, ScalarField):
+        return apply_structure(f.hessian(x))
+    return fd_jacobian(lambda z: apply_structure(f.gradient(z)), x, fd_step)
+
+
 def hamiltonian_vf(
     f: ScalarLike,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
@@ -229,27 +234,18 @@ def hamiltonian_vf(
     """Hamiltonian vector field of a scalar: X_f = J grad f.
 
     In block form X_f = (df/dp, -df/dq), so for example the field of 'q1'
-    is the constant vector with -1 in the p1 slot.  Parsed scalars get an
-    exact Jacobian from their generated Hessian kernel; procedural scalars
-    fall back to a central difference Jacobian.
+    is the constant vector with -1 in the p1 slot.  The value costs one
+    gradient; derivative=True adds hamiltonian_jacobian, exact for a
+    parsed scalar and a central difference for a procedural one.
     """
-    s = f.dimension_s
 
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        return apply_structure(f.gradient(x))
+    def evaluate(x: np.ndarray, derivative: bool = False):
+        value = apply_structure(f.gradient(x))
+        if not derivative:
+            return value
+        return value, hamiltonian_jacobian(f, x, tolerances.fd_step)
 
-    if isinstance(f, ScalarField):
-
-        def jacobian(x: np.ndarray) -> np.ndarray:
-            H = f.hessian(x)
-            return np.vstack([H[s:], -H[:s]])
-
-        return VectorField(evaluator, jacobian, s, label=f.source)
-
-    def jacobian_fd(x: np.ndarray) -> np.ndarray:
-        return fd_jacobian(evaluator, x, tolerances.fd_step)
-
-    return VectorField(evaluator, jacobian_fd, s, label=getattr(f, "label", ""))
+    return VectorField(evaluate, f.dimension_s)
 
 
 def poisson(f: ScalarLike, g: ScalarLike, x) -> float:
@@ -276,15 +272,12 @@ def poisson_field(f: ScalarField, g: ScalarField) -> ProceduralScalar:
         Hg = g.hessian(x)
         return Hf @ apply_structure(g.gradient(x)) - Hg @ apply_structure(f.gradient(x))
 
-    return ProceduralScalar(
-        value_fn,
-        gradient_fn,
-        f.dimension_s,
-        label=f"{{{f.source}, {g.source}}}",
-    )
+    return ProceduralScalar(value_fn, gradient_fn, f.dimension_s)
 
 
 def lie_bracket(X: VectorField, Y: VectorField, x) -> np.ndarray:
     """[X, Y](x) = DY(x) X(x) - DX(x) Y(x)."""
     x = np.asarray(x, dtype=float)
-    return Y.jacobian(x) @ X(x) - X.jacobian(x) @ Y(x)
+    X_x, DX = X.evaluate(x, derivative=True)
+    Y_x, DY = Y.evaluate(x, derivative=True)
+    return DY @ X_x - DX @ Y_x

@@ -20,6 +20,7 @@ from .symplectic import (
     apply_structure,
     classify,
     fd_jacobian,
+    hamiltonian_jacobian,
     hamiltonian_vf,
     nullspace,
     numerical_rank,
@@ -168,11 +169,12 @@ def _field_jacobians(F: MapLike, tolerances: Tolerances):
     = J (DPsi(y)^-1)[k + i] =: G_i(y) and DX_i(x) = DG_i(y) DPsi(y)^-1 at
     y = Psi^-1(x).  DG is one central difference over forward passes in
     chart coordinates, shared by the l fields: no tower solve, no exact dlam.
-    Other maps take hamiltonian_vf of each component.
+    Other maps take hamiltonian_jacobian of each component, which skips
+    the value: the caller already has X_i from dF.
     """
     if not isinstance(F, FirstIntegralSubmersion):
-        fields = [hamiltonian_vf(c, tolerances) for c in F.components]
-        return lambda x: [f.jacobian(x) for f in fields]
+        step = tolerances.fd_step
+        return lambda x: [hamiltonian_jacobian(c, x, step) for c in F.components]
     tower, k, n = F.state.tower, F.k, 2 * F.dimension_s
 
     def stacked(y: np.ndarray) -> np.ndarray:

@@ -278,9 +278,7 @@ def test_criterion_07_fibration_builder():
         v = rng.standard_normal(2 * s)
         if rng.random() < 0.3:
             v[:s] = 0.0  # exercise the canonical swap
-        X = VectorField(
-            lambda x, v=v: v, lambda x, s=s: np.zeros((2 * s, 2 * s)), s
-        )
+        X = VectorField(lambda x, v=v: v, s)
         m = rng.uniform(-1.0, 1.0, size=2 * s)
         k = int(rng.integers(1, s + 1))
         plan = build_fibration(X, m, k)

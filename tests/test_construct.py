@@ -250,6 +250,64 @@ def test_poisson_derivative_matches_fd_at_every_level(pipeline, request):
         assert np.max(np.abs(dlam - fd.reshape(n, n, n))) < 1e-8
 
 
+def test_field_value_with_derivative_is_the_plain_value(harmonic_s2):
+    # flows read X from evaluate(x, derivative=True); equal bits keep the
+    # outputs independent of which call produced the value
+    H, _, m, F, _ = harmonic_s2
+    chart = F.state.tower.charts[1]
+    procedural = symplectic.poisson_field(H, ScalarField.parse("q1*p1 + q2^2", 2))
+    fields = [
+        ("parsed", hamiltonian_vf(H, TOL), m),
+        ("procedural", hamiltonian_vf(procedural, TOL), m),
+        ("constant", chart.frame[0], chart.basepoint),
+        ("ghat", chart.frame[-1], chart.basepoint),
+    ]
+    rng = np.random.default_rng(47)
+    for name, fld, center in fields:
+        for _ in range(3):
+            x = center + rng.uniform(-0.25, 0.25, size=4) * chart.domain_radius
+            value, D = fld.evaluate(x, derivative=True)
+            assert np.array_equal(value, fld.evaluate(x)), name
+            assert D.shape == (4, 4), name
+
+
+def test_lifted_field_flow_evaluates_the_parent_poisson_once_per_step(
+    harmonic_s2, monkeypatch
+):
+    # every right-hand side of the level-2 variational flow takes ghat and
+    # its Jacobian from one lambda_1(y, derivative=True); lambda_1 costs
+    # one gradient and one Hessian of H, so a second call would show as a
+    # second gradient
+    _, _, _, F, _ = harmonic_s2
+    chart = F.state.tower.charts[1]
+    counts = {"rhs": 0, "gradient": 0, "hessian": 0}
+    integrate = flows._integrate
+
+    def counted_integrate(rhs, x0, t_end, settings):
+        def counted_rhs(z):
+            counts["rhs"] += 1
+            return rhs(z)
+
+        return integrate(counted_rhs, x0, t_end, settings)
+
+    def counted(name):
+        method = getattr(ScalarField, name)
+
+        def call(self, x):
+            counts[name] += 1
+            return method(self, x)
+
+        return call
+
+    monkeypatch.setattr(flows, "_integrate", counted_integrate)
+    for name in ("gradient", "hessian"):
+        monkeypatch.setattr(ScalarField, name, counted(name))
+    y = np.array([0.0, 0.1, -0.05, 0.08]) * chart.domain_radius
+    flows.flow_with_tangent(chart.frame[-1], y, 0.3 * chart.domain_radius)
+    assert counts["rhs"] > 0
+    assert counts["gradient"] == counts["hessian"] == counts["rhs"]
+
+
 def test_level_two_chart_jacobian_matches_fd_of_forward(harmonic_s2):
     # the variational flow of the lifted field runs on its exact Jacobian
     _, _, _, F, _ = harmonic_s2
@@ -397,7 +455,7 @@ def test_fibration_dodges_random_directions():
             v[:s] = 0.0  # force the swap branch
         from hjcomplete.symplectic import VectorField
 
-        X = VectorField(lambda x, v=v: v, lambda x: np.zeros((2 * s, 2 * s)), s)
+        X = VectorField(lambda x, v=v: v, s)
         m = rng.uniform(-1.0, 1.0, size=2 * s)
         k = int(rng.integers(1, s + 1))
         plan = build_fibration(X, m, k)

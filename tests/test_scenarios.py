@@ -75,6 +75,10 @@ def test_unknown_keys_rejected():
         ({"probes": True}, "probes"),
         ({"lambda_grid": True}, "lambda_grid"),
         ({"seed": False}, "seed"),
+        # a simple-Hamiltonian block is a list of rows and a text
+        ({"hamiltonian": {"cometric": 5, "potential": "0"}}, "cometric must be"),
+        ({"hamiltonian": {"cometric": ["1"], "potential": "0"}}, "cometric must be"),
+        ({"hamiltonian": {"cometric": [["1"]], "potential": 3}}, "potential must be"),
     ],
 )
 def test_invalid_configs_rejected(patch, message):

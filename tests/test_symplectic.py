@@ -196,8 +196,14 @@ def test_lie_bracket_linear_fields():
     # [Ax, Bx] = (BA - AB)x for linear fields
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     B = np.array([[1.0, 0.0], [0.0, -1.0]])
-    X = VectorField(lambda x: A @ x, lambda x: A, 1)
-    Y = VectorField(lambda x: B @ x, lambda x: B, 1)
+
+    def linear(M):
+        def evaluate(x, derivative=False):
+            return (M @ x, M) if derivative else M @ x
+
+        return VectorField(evaluate, 1)
+
+    X, Y = linear(A), linear(B)
     x = np.array([0.7, -0.4])
     expected = (B @ A - A @ B) @ x
     assert np.max(np.abs(lie_bracket(X, Y, x) - expected)) < 1e-6
