@@ -13,14 +13,14 @@ memoized on the query's exact bytes (_memo), so each map is a pure
 function and the memo only saves time.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
-rectifies the next lifted field in the coordinates of level j-1, where
-the first j-1 frame fields have already become constant.  Because every
-frame field is Hamiltonian and the fields commute, the pulled-back
-Poisson matrix in level coordinates is available algebraically from the
-slice data alone (see _level_poisson); no integration is needed to
-evaluate lifted fields in chart coordinates, nor finite differences for
-their Jacobians.  Numerical integration only enters through the chart
-flows and chart domain validation.
+flows the lifted field lam_{j-1}[:, b] in level j-1 coordinates, where
+the earlier frame fields are the translations e_0..e_{j-2}.  Because the
+frame fields are Hamiltonian and commute, the pulled-back Poisson matrix
+of each level is algebraic in its slice data and one evaluation of the
+parent matrix (see _level_poisson); no integration is needed to evaluate
+lifted fields in chart coordinates, nor finite differences for their
+Jacobians.  Numerical integration only enters through the chart flows
+and chart domain validation.
 """
 
 from __future__ import annotations
@@ -92,54 +92,53 @@ class DomainBoxError(ValueError):
 # chart tower
 
 
-def _constant_field(vector: np.ndarray, dim_s: int) -> VectorField:
-    zero = np.zeros((vector.shape[0],) * 2)
-
-    def evaluate(x: np.ndarray, derivative: bool = False):
-        return (vector.copy(), zero.copy()) if derivative else vector.copy()
-
-    return VectorField(evaluate, dim_s)
-
-
-def _level_poisson(chart: FlowBoxChart, parent: Callable) -> Callable:
+def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int]):
     """Poisson matrix field in the coordinates of `chart`.
 
-    With frame fields Hamiltonian and mutually commuting, the chart
-    Jacobian factors as Dpsi(y) = W Q(z) with z the slice point for the
-    tail of y, Q(z) = [X_1(z) .. X_r(z) | S], and W the composite flow
-    tangent.  W preserves the parent Poisson matrix, so the pullback
-    collapses to lam = Q(z)^{-1} L(z) Q(z)^{-T}: the matrix depends on the
-    tail coordinates only, and costs one frame evaluation at the slice.
+    The chart flows one Hamiltonian field X from the slice point m + B y,
+    so Dpsi(y) = M Q with M the flow tangent and Q = B with X(m + B y) in
+    column r.  M preserves the parent Poisson matrix L, so the pullback
+    collapses to lam = Q^{-1} L Q^{-T}.  L and X are invariant along the
+    head directions e_0..e_{r-1}, so both are read at the tail slice point
+    z = m + S y_tail (S = B[:, r+1:]): lam depends on the tail coordinates
+    only.  At level 1 X is the chart's field and L canonical; at level
+    j >= 2 X is the parent's column L[:, column], so one parent call
+    gives both.
 
-    lam(y, derivative=True) also returns dlam[:, :, a] = d lam / d y_a: zero
-    for a < r, and for a = r + t, with A = Q^{-1} [DX_i(z) S[:, t] .. | 0],
-    dlam_a = -A lam - lam A^T + Q^{-1} (dL(z) S[:, t]) Q^{-T}.  DX_i is
-    exact at every level (the Hessian of H at level 1, then zero for the
-    constant fields and the parent's dlam[:, b, :] for the lifted one), so
-    the recursion needs no finite difference.
+    lam(y, derivative=True) also returns dlam[:, :, a] = d lam / d y_a:
+    zero for a <= r, and for a = r + 1 + t, with u = Q^{-1} DX(z) S[:, t],
+    dlam_a = Q^{-1} (dL(z) S[:, t]) Q^{-T} - u lam[r] - lam[:, r] u^T.
+    DX is exact at every level (the Hessian of H at level 1, then the
+    parent's dL[:, column, :]), so the recursion needs no finite
+    difference.
     """
     base = chart.basepoint
-    S = chart.slice_basis
-    frame = chart.frame
-    r = len(frame)
+    B = chart.slice_basis
+    r = chart.axis
+    S = np.ascontiguousarray(B[:, r + 1 :])
     n = base.shape[0]
 
     def lam(y: np.ndarray, derivative: bool = False):
-        z = base + S @ np.asarray(y, dtype=float)[r:]
-        evals = [fld.evaluate(z, derivative) for fld in frame]
-        Q = np.empty((n, n))
-        Q[:, :r] = np.column_stack([e[0] for e in evals] if derivative else evals)
-        Q[:, r:] = S
+        z = base + S @ np.asarray(y, dtype=float)[r + 1 :]
+        L = parent(z, derivative)
+        if column is None:
+            X = chart.field.evaluate(z, derivative)
+        else:
+            X = (L[0][:, column], L[1][:, column, :]) if derivative else L[:, column]
+        Q = B.copy()
+        Q[:, r] = X[0] if derivative else X
         Qinv = np.linalg.inv(Q)
         if not derivative:
-            return Qinv @ parent(z) @ Qinv.T
-        L, dL = parent(z, derivative=True)
+            return Qinv @ L @ Qinv.T
+        (_, DX), (L, dL) = X, L
         out = Qinv @ L @ Qinv.T
-        # A[t] holds the head columns Q^{-1} DX_i(z) S[:, t] of A_{r+t}
-        A = Qinv @ np.stack([S.T @ DX.T for _, DX in evals], -1)
-        tail = Qinv @ np.moveaxis(dL @ S, -1, 0) @ Qinv.T - A @ out[:r]
+        # A[t] is the one nonzero column u = Q^{-1} DX(z) S[:, t] of A_{r+1+t}
+        A = Qinv @ (S.T @ DX.T)[:, :, None]
+        tail = Qinv @ np.moveaxis(dL @ S, -1, 0) @ Qinv.T - A @ out[r : r + 1]
         dlam = np.zeros((n, n, n))
-        dlam[:, :, r:] = np.moveaxis(tail - out[:, :r] @ A.transpose(0, 2, 1), 0, -1)
+        dlam[:, :, r + 1 :] = np.moveaxis(
+            tail - out[:, r : r + 1] @ A.transpose(0, 2, 1), 0, -1
+        )
         return out, dlam
 
     return lam
@@ -161,17 +160,19 @@ class ChartTower:
     previous one.  charts[0] maps its coordinates into phase space;
     charts[j] maps into the coordinate space of charts[j-1].  poissons
     has one extra entry: poissons[j] is the Poisson matrix field of the
-    level-j coordinate space (poissons[0] is canonical)."""
+    level-j coordinate space (poissons[0] is canonical).  columns[j] is the
+    column b of poissons[j] that charts[j] flows, None for charts[0],
+    which flows X_H."""
 
     charts: tuple[FlowBoxChart, ...]
     poissons: tuple[Callable, ...]
+    columns: tuple[Optional[int], ...]
     dimension_s: int
 
-    def extended(self, chart: FlowBoxChart) -> "ChartTower":
-        lam = _level_poisson(chart, self.poissons[-1])
-        return ChartTower(
-            self.charts + (chart,), self.poissons + (lam,), self.dimension_s
-        )
+    def extended(self, chart: FlowBoxChart, b: Optional[int] = None) -> "ChartTower":
+        lam = _level_poisson(chart, self.poissons[-1], b)
+        charts, columns = self.charts + (chart,), self.columns + (b,)
+        return ChartTower(charts, self.poissons + (lam,), columns, self.dimension_s)
 
     def with_permuted_tail(self, perm: Sequence[int]) -> "ChartTower":
         """Permute the tail coordinates of the deepest chart.
@@ -181,12 +182,14 @@ class ChartTower:
         of the slice directions moves.
         """
         deep = self.charts[-1]
-        new_chart = replace(deep, slice_basis=deep.slice_basis[:, list(perm)])
-        lam = _level_poisson(new_chart, self.poissons[-2])
-        return ChartTower(
-            self.charts[:-1] + (new_chart,),
-            self.poissons[:-1] + (lam,),
-            self.dimension_s,
+        head = deep.axis + 1
+        order = list(range(head)) + [head + p for p in perm]
+        new_chart = replace(deep, slice_basis=deep.slice_basis[:, order])
+        lam = _level_poisson(new_chart, self.poissons[-2], self.columns[-1])
+        return replace(
+            self,
+            charts=self.charts[:-1] + (new_chart,),
+            poissons=self.poissons[:-1] + (lam,),
         )
 
     def forward(self, y: np.ndarray) -> np.ndarray:
@@ -348,11 +351,13 @@ def check_assumptions(
 class FrameState:
     """Current commuting frame together with its chart tower.
 
-    fields hold the frame as honest phase-space vector fields (the first
-    is always the Hamiltonian field; later ones are procedural, with
-    finite-difference Jacobians kept as an oracle: charts flow the exact
-    lifts of _level_poisson).  tower holds one chart per field, and
-    assumptions the passed hypothesis check at the base point.
+    fields hold the frame as honest phase-space vector fields: the first
+    is always the Hamiltonian field, later ones are procedural, with
+    finite-difference Jacobians.  They serve the checks; the charts do not
+    flow them: charts[j] (j >= 1) flows the column tower.columns[j] of the
+    parent level's Poisson matrix, with its exact Jacobian.  tower holds
+    one chart per field, and assumptions the passed hypothesis check at
+    the base point.
     """
 
     fibration: MapField
@@ -361,7 +366,6 @@ class FrameState:
     fields: tuple[VectorField, ...]
     tower: ChartTower
     kernel_basis: np.ndarray
-    b_history: tuple[int, ...]
     tolerances: Tolerances
     settings: IntegratorSettings
     initial_radius: float
@@ -402,9 +406,9 @@ def init_frame(
     s = fibration.dimension_s
     xh = hamiltonian_vf(hamiltonian, tolerances)
     chart = FlowBoxChart.build(
-        m, (xh,), settings, tolerances, initial_radius=initial_radius
+        m, xh, settings=settings, tolerances=tolerances, initial_radius=initial_radius
     )
-    tower = ChartTower((), (_canonical_poisson(s),), s).extended(chart)
+    tower = ChartTower((), (_canonical_poisson(s),), (), s).extended(chart)
     kernel = nullspace(fibration.jacobian(m), tolerances.rank)
     return FrameState(
         fibration=fibration,
@@ -413,7 +417,6 @@ def init_frame(
         fields=(xh,),
         tower=tower,
         kernel_basis=kernel,
-        b_history=(),
         tolerances=tolerances,
         settings=settings,
         initial_radius=initial_radius,
@@ -539,12 +542,10 @@ def extend_frame(state: FrameState) -> FrameState:
     )
 
     # Next chart lives in the current tower coordinates, where the old
-    # frame is constant and the new field is algebraic in the Poisson
-    # matrix.  Isotropy of the enlarged frame is automatic there.
+    # frame is the translations e_0..e_{r-1} and the new field is a column
+    # of the Poisson matrix, invariant along them.  Isotropy of the
+    # enlarged frame is automatic there.
     lam_fn = tower.poissons[-1]
-    consts = tuple(
-        _constant_field(np.eye(n)[:, i], state.dimension_s) for i in range(r)
-    )
 
     def ghat(y: np.ndarray, derivative: bool = False):
         out = lam_fn(y, derivative)
@@ -556,11 +557,11 @@ def extend_frame(state: FrameState) -> FrameState:
     try:
         new_chart = FlowBoxChart.build(
             np.zeros(n),
-            consts + (lifted,),
+            lifted,
+            r,
             state.settings,
             tol,
             initial_radius=state.initial_radius,
-            poisson=lam_fn,
         )
     except ChartError as exc:
         raise FrameExtensionError(f"chart construction failed: {exc}") from exc
@@ -568,8 +569,7 @@ def extend_frame(state: FrameState) -> FrameState:
     return replace(
         state,
         fields=state.fields + (new_field,),
-        tower=tower.extended(new_chart),
-        b_history=state.b_history + (best_b,),
+        tower=tower.extended(new_chart, best_b),
     )
 
 
@@ -686,7 +686,7 @@ def build_first_integrals(
         "kernel_gram": gram,
         "probes": probes,
         "seed": seed,
-        "b_history": state.b_history,
+        "b_history": state.tower.columns[1:],
         "chart_radii": tuple(c.domain_radius for c in state.tower.charts),
     }
     failures = []

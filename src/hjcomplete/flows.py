@@ -9,26 +9,27 @@ classical RK4 is available only on request (method "rk4-fixed").  The
 tangent variant integrates the variational equation alongside the state
 and returns the flow differential.
 
-A FlowBoxChart realizes the straightening map of an ordered, commuting,
-form orthogonal frame X_1..X_r near a base point m:
+A FlowBoxChart straightens one field X near a base point m:
 
-    psi(y) = Phi^{y_1}_{X_1} ( ... Phi^{y_r}_{X_r}(m + S y_tail) ... )
+    psi(y) = Phi^{y_r}_X(m + B y)
 
-with S a slice basis transverse to the frame.  In chart coordinates every
-frame field becomes a coordinate shift, which is what the rest of the
-package builds on.
+with B a square slice matrix whose column r is zero.  Its first r columns
+are the unit vectors e_0..e_{r-1}, directions along which X is already
+invariant (an earlier chart straightened them), so they enter as plain
+translations; its last columns span a transversal to them and to X(m).
+In chart coordinates X becomes the shift along y_r, which is what the
+rest of the package builds on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .newton import NewtonError, newton_solve
-from .symplectic import VectorField, numerical_rank, structure_matrix
+from .symplectic import VectorField, numerical_rank
 
 __all__ = [
     "FlowError",
@@ -184,15 +185,17 @@ def _canonicalize_columns(B: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FlowBoxChart:
-    """Straightening chart of a commuting frame around a base point.
+    """Straightening chart of one field around a base point.
 
-    basepoint and the frame live in the ambient coordinates; slice_basis
-    columns span a transversal through the base point.  domain_radius is
-    the validated radius of the coordinate box.
+    basepoint and field live in the ambient coordinates; axis is the
+    flowed coordinate r, and slice_basis the n x n matrix B of
+    psi(y) = Phi^{y_r}_X(m + B y), whose column r is zero.  domain_radius
+    is the validated radius of the coordinate box.
     """
 
     basepoint: np.ndarray
-    frame: tuple
+    field: VectorField
+    axis: int
     slice_basis: np.ndarray
     domain_radius: float
     settings: IntegratorSettings = dc_field(default_factory=IntegratorSettings)
@@ -205,57 +208,46 @@ class FlowBoxChart:
     def dim(self) -> int:
         return self.basepoint.shape[0]
 
-    @property
-    def rank(self) -> int:
-        return len(self.frame)
-
     @classmethod
     def build(
         cls,
         basepoint,
-        frame,
+        field: VectorField,
+        axis: int = 0,
         settings: IntegratorSettings = IntegratorSettings(),
         tolerances: Tolerances = DEFAULT_TOLERANCES,
         initial_radius: float = 0.5,
-        poisson: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> "FlowBoxChart":
-        """Build and validate a chart: slice from the SVD complement of the
-        frame at the base point, radius shrunk until Newton inversion
-        succeeds at PROBE_COUNT boundary points.
+        """Build and validate a chart that flows field along coordinate
+        axis: B holds e_0..e_{axis-1}, a zero column, and the SVD complement
+        of [e_0..e_{axis-1}, X(m)]; the radius is shrunk until Newton
+        inversion succeeds at PROBE_COUNT boundary points.
 
-        The frame must pair to zero under the form omega = -lambda^-1 at
-        the base point, where lambda is the ambient Poisson matrix field
-        poisson (the canonical one when None).
+        field must be invariant under translation along e_0..e_{axis-1},
+        as a lifted field is in the coordinates of the chart below it.
         """
         basepoint = np.asarray(basepoint, dtype=float)
-        frame = tuple(frame)
         n = basepoint.shape[0]
-        r = len(frame)
-        if r > n:
-            raise ChartError("frame larger than the ambient dimension")
-        if r:
-            F = np.column_stack([X(basepoint) for X in frame])
-            if numerical_rank(F, tolerances.rank) < r:
-                raise ChartError("frame fields are dependent at the base point")
-            lam = structure_matrix(n // 2) if poisson is None else poisson(basepoint)
-            W = -F.T @ np.linalg.solve(lam, F)
-            for i, j in zip(*np.triu_indices(r, 1)):
-                if abs(W[i, j]) > tolerances.residual:
-                    raise ChartError(
-                        f"frame fields {i} and {j} are not form orthogonal "
-                        f"at the base point: omega = {W[i, j]:.3e}"
-                    )
-            U, _, _ = np.linalg.svd(F)
-            slice_basis = _canonicalize_columns(U[:, r:])
-        else:
-            slice_basis = np.eye(n)
+        F = np.eye(n)[:, : axis + 1]
+        F[:, axis] = field(basepoint)
+        if numerical_rank(F, tolerances.rank) <= axis:
+            raise ChartError(
+                "field is zero or dependent on the straightened directions "
+                "at the base point"
+            )
+        U, _, _ = np.linalg.svd(F)
+        slice_basis = np.zeros((n, n))
+        slice_basis[:, :axis] = F[:, :axis]
+        slice_basis[:, axis + 1 :] = _canonicalize_columns(U[:, axis + 1 :])
 
         rng = np.random.default_rng(0)
         dirs = rng.normal(size=(cls.PROBE_COUNT, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         radius = float(initial_radius)
         while radius >= cls.MIN_RADIUS:
-            chart = cls(basepoint, frame, slice_basis, radius, settings, tolerances)
+            chart = cls(
+                basepoint, field, axis, slice_basis, radius, settings, tolerances
+            )
             if chart._probe_domain(dirs * radius):
                 return chart
             radius *= 0.5
@@ -275,36 +267,31 @@ class FlowBoxChart:
         return True
 
     def forward(self, y) -> np.ndarray:
-        """psi(y): flows applied innermost last field first."""
+        """psi(y): one flow of the field from the slice point m + B y."""
         y = np.asarray(y, dtype=float)
         if y.shape[0] != self.dim:
             raise ValueError("chart coordinates have the ambient dimension")
-        r = self.rank
-        x = self.basepoint + self.slice_basis @ y[r:]
-        for i in reversed(range(r)):
-            if y[i] != 0.0:
-                x = _integrate(self.frame[i].evaluate, x, float(y[i]), self.settings)
-        return x
+        x = self.basepoint + self.slice_basis @ y
+        t = float(y[self.axis])
+        return _integrate(self.field.evaluate, x, t, self.settings) if t else x
 
     def forward_and_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """psi(y) and D psi(y) in one pass of tangent flows.
+        """psi(y) and D psi(y) = M B with column r replaced by X(psi(y)),
+        M the tangent of the one flow.
 
-        Column i <= r is the i-th frame field at the partially flowed
-        point pushed through the remaining flows; slice columns ride the
-        full composition.
+        The field's Jacobian has zero columns along e_0..e_{r-1}, so M
+        fixes those unit vectors bitwise and the head columns of D stay
+        exact.
         """
         y = np.asarray(y, dtype=float)
-        r = self.rank
-        n = self.dim
-        x = self.basepoint + self.slice_basis @ y[r:]
-        D = np.zeros((n, n))
-        D[:, r:] = self.slice_basis
-        for i in reversed(range(r)):
-            fld = self.frame[i]
-            if y[i] != 0.0:
-                x, M = flow_with_tangent(fld, x, float(y[i]), self.settings)
-                D = M @ D
-            D[:, i] = fld(x)
+        x = self.basepoint + self.slice_basis @ y
+        t = float(y[self.axis])
+        if t:
+            x, M = flow_with_tangent(self.field, x, t, self.settings)
+            D = M @ self.slice_basis
+        else:
+            D = self.slice_basis.copy()
+        D[:, self.axis] = self.field(x)
         return x, D
 
     def inverse(self, p, y0=None) -> np.ndarray:

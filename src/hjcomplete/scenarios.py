@@ -179,12 +179,13 @@ def parse_config(raw: dict) -> RunConfig:
     _require("fibration" in raw, "fibration is required")
     fib = raw["fibration"]
     auto_k = raw.get("auto_k")
-    if fib == "auto":
-        _require(auto_k is not None, 'fibration "auto" requires auto_k')
+    if auto_k is not None:
         _require(
             _is_int(auto_k) and 1 <= auto_k <= s,
             f"auto_k must be an integer in [1, {s}]",
         )
+    if fib == "auto":
+        _require(auto_k is not None, 'fibration "auto" requires auto_k')
         sources = None
     else:
         _require(

@@ -334,6 +334,23 @@ def test_fibration_fails_at_a_fixed_point(tmp_path):
     assert _report(out)["error"]["type"] == "FibrationError"
 
 
+def test_fibration_rejects_malformed_auto_k_beside_explicit_fibration(tmp_path, capsys):
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {
+            "dimension_s": 1,
+            "hamiltonian": "p1^2/2",
+            "fibration": ["q1"],
+            "auto_k": "2",
+            "base_point": [0.0, 1.0],
+        },
+    )
+    code = main(["fibration", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 3
+    assert "auto_k" in capsys.readouterr().err
+
+
 def test_auto_fibration_feeds_construct(tmp_path):
     cfg = _write(
         tmp_path,

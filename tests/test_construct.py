@@ -142,7 +142,7 @@ def test_extended_frame_commutes(harmonic_s2):
     assert numerical_rank(vals, TOL.rank) == 2
     # the defining property of the extension: the fields commute
     assert np.max(np.abs(lie_bracket(X1, X2, m))) < 1e-6
-    assert len(state.b_history) == 1
+    assert len(state.tower.columns) == 2 and state.tower.columns[0] is None
 
 
 def test_tower_poisson_matches_pullback(harmonic_s2):
@@ -259,8 +259,7 @@ def test_field_value_with_derivative_is_the_plain_value(harmonic_s2):
     fields = [
         ("parsed", hamiltonian_vf(H, TOL), m),
         ("procedural", hamiltonian_vf(procedural, TOL), m),
-        ("constant", chart.frame[0], chart.basepoint),
-        ("ghat", chart.frame[-1], chart.basepoint),
+        ("ghat", chart.field, chart.basepoint),
     ]
     rng = np.random.default_rng(47)
     for name, fld, center in fields:
@@ -303,9 +302,64 @@ def test_lifted_field_flow_evaluates_the_parent_poisson_once_per_step(
     for name in ("gradient", "hessian"):
         monkeypatch.setattr(ScalarField, name, counted(name))
     y = np.array([0.0, 0.1, -0.05, 0.08]) * chart.domain_radius
-    flows.flow_with_tangent(chart.frame[-1], y, 0.3 * chart.domain_radius)
+    flows.flow_with_tangent(chart.field, y, 0.3 * chart.domain_radius)
     assert counts["rhs"] > 0
     assert counts["gradient"] == counts["hessian"] == counts["rhs"]
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    method = getattr(owner, name)
+
+    def call(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, call)
+
+
+def test_each_level_poisson_reads_its_parent_once(oscillator_s3_tower, monkeypatch):
+    # lambda_j reads X and DX off its one parent call, so lambda_j with
+    # dlambda costs one gradient and one Hessian of H at every level
+    tower = oscillator_s3_tower
+    y = 0.01 * np.ones(6)
+    for lam in tower.poissons[1:]:
+        counts = {}
+        with monkeypatch.context() as patch:
+            for name in ("gradient", "hessian"):
+                _count_calls(patch, ScalarField, name, counts)
+            lam(y, derivative=True)
+        assert counts == {"gradient": 1, "hessian": 1}
+
+
+def test_level_two_chart_flows_one_field(harmonic_s2, monkeypatch):
+    # the straightened e_0 is a translation of the slice point: one
+    # trajectory per chart map, and the head column of D is e_0 bitwise
+    _, _, _, F, _ = harmonic_s2
+    chart = F.state.tower.charts[1]
+    r = chart.axis
+    assert r == 1
+    y = np.array([0.2, 0.3, -0.1, 0.15]) * chart.domain_radius
+    counts = {}
+    _count_calls(monkeypatch, flows, "_integrate", counts)
+    chart.forward(y)
+    assert counts == {"_integrate": 1}
+    _, D = chart.forward_and_jacobian(y)
+    assert counts == {"_integrate": 2}
+    assert np.array_equal(D[:, :r], np.eye(4)[:, :r])
+
+
+def test_extend_rejects_coordinates_paired_with_the_frame():
+    # a level Poisson matrix whose inverse pairs the two frame coordinates
+    state = extend_frame(_free_s3_state())
+    assert state.r == 2
+    omega_pairs = np.kron(np.eye(3), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    lam = np.linalg.inv(omega_pairs)
+    tower = state.tower
+    bad = dataclasses.replace(
+        tower, poissons=tower.poissons[:-1] + (lambda y, derivative=False: lam,)
+    )
+    with pytest.raises(FrameExtensionError, match="not orthogonal to the frame"):
+        extend_frame(dataclasses.replace(state, tower=bad))
 
 
 def test_level_two_chart_jacobian_matches_fd_of_forward(harmonic_s2):

@@ -168,7 +168,7 @@ def test_unknown_method_rejected():
 
 
 def _harmonic_chart():
-    return FlowBoxChart.build(np.array([0.3, 1.1]), [_harmonic_field()])
+    return FlowBoxChart.build(np.array([0.3, 1.1]), _harmonic_field())
 
 
 def test_chart_round_trip():
@@ -187,10 +187,10 @@ def test_chart_centre():
 
 
 def test_chart_jacobian_columns():
-    """Column 0 must be the frame field at the image point; slice columns
+    """Column 0 must be the flowed field at the image point; slice columns
     must match central differences of the forward map."""
     chart = _harmonic_chart()
-    X = chart.frame[0]
+    X = chart.field
     rng = np.random.default_rng(3)
     y = rng.uniform(-0.5, 0.5, size=2) * chart.domain_radius
     x, D = chart.forward_and_jacobian(y)
@@ -207,27 +207,12 @@ def test_straightening_pushes_frame_to_unit_vector():
     """The defining property: inverse(flow along X for time t) moves only
     the first chart coordinate, at unit speed."""
     chart = _harmonic_chart()
-    X = chart.frame[0]
+    X = chart.field
     y0 = np.array([0.05, 0.1])
     x0 = chart.forward(y0)
     for t in (0.1, 0.25):
         yt = chart.inverse(flow(X, x0, t))
         assert np.max(np.abs(yt - (y0 + np.array([t, 0.0])))) < 1e-8
-
-
-def test_dependent_frame_rejected():
-    X = _harmonic_field()
-    double = VectorField(lambda x: 2.0 * X(x), 1)
-    with pytest.raises(ChartError, match="dependent"):
-        FlowBoxChart.build(np.array([0.3, 1.1]), [X, double])
-
-
-def test_non_orthogonal_frame_rejected():
-    # X_{q1} and X_{p1} pair to {q1, p1} = 1 under the form
-    q1 = hamiltonian_vf(ScalarField.parse("q1", 1), TOL)
-    p1 = hamiltonian_vf(ScalarField.parse("p1", 1), TOL)
-    with pytest.raises(ChartError, match="orthogonal"):
-        FlowBoxChart.build(np.zeros(2), [q1, p1])
 
 
 def test_chart_slice_deterministic():
@@ -246,22 +231,12 @@ def _constant(vector):
     return VectorField(evaluate, 2)
 
 
-def test_pairing_follows_the_supplied_poisson_matrix():
-    # lambda^-1 = omega pairs (q1, q2) and (p1, p2), not (q1, p1)
-    omega = np.array(
-        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], dtype=float
-    )
-    lam = np.linalg.inv(omega)
+def test_dependent_frame_rejected():
+    # X(m) = e_0 + 2 e_1 lies in the span of the straightened e_0, e_1;
+    # a field that vanishes at m is dependent at axis 0
     e = np.eye(4)
-    # e1, e2: canonically orthogonal, paired to -1 under lam
-    with pytest.raises(ChartError, match="orthogonal"):
-        FlowBoxChart.build(
-            np.zeros(4), [_constant(e[0]), _constant(e[1])], poisson=lambda y: lam
-        )
-    # e1, e3: canonically paired, orthogonal under lam
-    chart = FlowBoxChart.build(
-        np.zeros(4), [_constant(e[0]), _constant(e[2])], poisson=lambda y: lam
-    )
-    assert chart.rank == 2
-    y = np.array([0.1, -0.2, 0.05, 0.03]) * chart.domain_radius
-    assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-10
+    with pytest.raises(ChartError, match="dependent"):
+        FlowBoxChart.build(np.zeros(4), _constant(e[0] + 2.0 * e[1]), axis=2)
+    with pytest.raises(ChartError, match="dependent"):
+        FlowBoxChart.build(np.zeros(4), _constant(np.zeros(4)))
+

@@ -79,6 +79,10 @@ def test_unknown_keys_rejected():
         ({"hamiltonian": {"cometric": 5, "potential": "0"}}, "cometric must be"),
         ({"hamiltonian": {"cometric": ["1"], "potential": "0"}}, "cometric must be"),
         ({"hamiltonian": {"cometric": [["1"]], "potential": 3}}, "potential must be"),
+        # auto_k is checked whenever it is given, not only for "auto"
+        ({"auto_k": "2"}, r"auto_k must be an integer in \[1, 1\]"),
+        ({"auto_k": True}, r"auto_k must be an integer in \[1, 1\]"),
+        ({"auto_k": 7}, r"auto_k must be an integer in \[1, 1\]"),
     ],
 )
 def test_invalid_configs_rejected(patch, message):
