@@ -43,6 +43,7 @@ from .scenarios import REGISTRY, ConfigError, RunConfig, load_config
 from .standard import (
     QuadratureError,
     characteristic_family,
+    inset_grid,
     verify_characteristic,
 )
 from .symplectic import hamiltonian_vf, numerical_rank
@@ -312,12 +313,7 @@ def cmd_characteristic(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int
     s = cfg.dimension_s
 
     family = characteristic_family(solution, cfg.lambda_grid)
-    q_axes = [
-        np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), cfg.lambda_grid)
-        for lo, hi in solution.n_box
-    ]
-    mesh = np.meshgrid(*q_axes, indexing="ij")
-    q_grid = np.column_stack([g.ravel() for g in mesh])
+    q_grid = inset_grid(solution.n_box, cfg.lambda_grid)
 
     header = (
         [f"lambda{i + 1}" for i in range(solution.l)]
@@ -468,7 +464,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _CHECK_ERRORS as exc:
+    except _CHECK_ERRORS + _NUMERICAL_ERRORS as exc:
         payload = {
             "command": args.command,
             "config": cfg.echo(),
@@ -481,18 +477,11 @@ def main(argv=None) -> int:
                 {k: v for k, v in diagnostics.items() if not isinstance(v, dict)}
             )
         _write_report(outdir, payload)
+        if isinstance(exc, _NUMERICAL_ERRORS):
+            print(f"{args.command}: numerical failure ({exc})")
+            return EXIT_NUMERICAL
         print(f"{args.command}: FAIL ({exc})")
         return EXIT_CHECK_FAILED
-    except _NUMERICAL_ERRORS as exc:
-        payload = {
-            "command": args.command,
-            "config": cfg.echo(),
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-            "passed": False,
-        }
-        _write_report(outdir, payload)
-        print(f"{args.command}: numerical failure ({exc})")
-        return EXIT_NUMERICAL
 
     _write_report(outdir, payload)
     status = "pass" if code == EXIT_PASS else "FAIL"

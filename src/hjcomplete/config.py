@@ -7,7 +7,7 @@ so a single object controls the numerical policy of a whole run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class Tolerances:
     residual: float = 1e-5
     frobenius: float = 1e-4
     fd_step: float = 1e-6
-
-    def with_(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

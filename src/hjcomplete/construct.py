@@ -25,7 +25,8 @@ and chart domain validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -38,6 +39,7 @@ from .newton import NewtonError, newton_solve
 from .symplectic import (
     Subspace,
     VectorField,
+    apply_structure,
     classify,
     fd_jacobian,
     hamiltonian_vf,
@@ -618,9 +620,9 @@ class FirstIntegralSubmersion:
         return np.array([self.state.tower.forward(y) for y in ys])
 
 
-def _integral_components(
-    tower: ChartTower, index: TowerIndex, k: int, dim_s: int
-) -> tuple[ProceduralScalar, ...]:
+def _integral_components(index, k: int, dim_s: int) -> tuple[ProceduralScalar, ...]:
+    """Components x -> coords[i], i >= k, of index.solve(x), with gradients
+    the rows of its jac_inv; one memoized solve serves all of them."""
     comps = []
     for i in range(k, 2 * dim_s):
         def value(x, i=i):
@@ -657,7 +659,7 @@ def build_first_integrals(
         state = extend_frame(state)
 
     index = TowerIndex(state.tower)
-    comps = _integral_components(index.tower, index, state.k, state.dimension_s)
+    comps = _integral_components(index, state.k, state.dimension_s)
     integrals = MapField(comps, state.dimension_s)
 
     xh = state.fields[0]
@@ -674,11 +676,7 @@ def build_first_integrals(
         if numerical_rank(stacked, tolerances.rank) != 2 * state.dimension_s:
             transverse = False
         kernel = nullspace(dF, tolerances.rank)
-        JK = np.column_stack(
-            [np.concatenate([v[state.dimension_s:], -v[: state.dimension_s]])
-             for v in kernel.T]
-        )
-        gram = max(gram, float(np.max(np.abs(kernel.T @ JK))))
+        gram = max(gram, float(np.max(np.abs(kernel.T @ apply_structure(kernel)))))
 
     diagnostics = {
         "flow_drift": drift,
@@ -719,7 +717,6 @@ class FibrationPlan:
     """
 
     pi: MapField
-    k: int
     swap_applied: bool
     q_order: tuple[int, ...]  # 0-based original q-indices, new order
     sources: tuple[str, ...]
@@ -754,7 +751,7 @@ def build_fibration(X: VectorField, basepoint, k: int) -> FibrationPlan:
         (f"-p{idx + 1}" if swap else f"q{idx + 1}") for idx in order[:k]
     )
     pi = MapField.from_sources(sources, s)
-    return FibrationPlan(pi, k, swap, tuple(order), sources)
+    return FibrationPlan(pi, swap, tuple(order), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -839,6 +836,7 @@ class CompleteSolution:
 
 
 _MIN_BOX_EDGE = 1e-3
+_VALIDATION_PROBES = 20
 
 
 def _integrals_map(F: Union[MapField, FirstIntegralSubmersion]) -> MapField:
@@ -908,7 +906,6 @@ def solution_from_integrals(
     F: Union[MapField, FirstIntegralSubmersion],
     basepoint,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    validation_probes: int = 20,
     seed: int = 0,
 ) -> CompleteSolution:
     """Invert (fibration, integrals) into a complete solution.
@@ -940,7 +937,7 @@ def solution_from_integrals(
 
     # Validate by probing the box; halve on any failure.
     rng = np.random.default_rng(seed)
-    probe_dirs = rng.uniform(-1.0, 1.0, size=(validation_probes, 2 * s))
+    probe_dirs = rng.uniform(-1.0, 1.0, size=(_VALIDATION_PROBES, 2 * s))
     probe_dirs[np.abs(probe_dirs) < 0.25] = 0.25  # keep probes near faces
     while True:
         try:
@@ -977,31 +974,28 @@ def integrals_from_solution(
     Components are the lambda-parameters of the Newton inversion of the
     solution map; gradients come from the inverse Jacobian.  Each solve is
     query-seeded from the box midpoint and memoized, so all components at
-    a point share one solve.
+    a point share one solve and one inverse.
     """
     s = solution.dimension_s
-    k, l = solution.k, solution.l
+    k = solution.k
     mid = np.vstack([solution.n_box, solution.lambda_box]).mean(axis=1)
 
     # Newton trial steps may leave the validated boxes briefly, so the
     # box-checked public interface is bypassed here.
     @_memo
-    def invert(x: np.ndarray) -> np.ndarray:
-        return newton_solve(
+    def invert(x: np.ndarray) -> _TowerEntry:
+        return _TowerEntry(newton_solve(
             lambda y: solution._evaluator(y[:k], y[k:]) - x,
             lambda y: solution._jacobian(y[:k], y[k:]),
             mid,
             tol=tolerances.newton,
-        )
+        ))
 
-    comps = []
-    for i in range(l):
-        def value(x, i=i):
-            return float(invert(x)[k + i])
+    def solve(x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:
+        entry = invert(x)
+        if need_jacobian and entry.jac_inv is None:
+            y = entry.coords
+            entry.jac_inv = np.linalg.inv(solution._jacobian(y[:k], y[k:]))
+        return entry
 
-        def gradient(x, i=i):
-            y = invert(x)
-            return np.linalg.inv(solution._jacobian(y[:k], y[k:]))[k + i].copy()
-
-        comps.append(ProceduralScalar(value, gradient, s))
-    return MapField(tuple(comps), s)
+    return MapField(_integral_components(SimpleNamespace(solve=solve), k, s), s)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -151,7 +151,7 @@ def parse_config(raw: dict) -> RunConfig:
     name = raw.get("scenario")
     if name is not None:
         _require(name in REGISTRY, f"unknown scenario {name!r}")
-        merged = dict(REGISTRY[name].config)
+        merged = dict(REGISTRY[name])
         merged.update({k: v for k, v in raw.items() if k != "scenario"})
         merged["scenario"] = name
         raw = merged
@@ -214,7 +214,7 @@ def parse_config(raw: dict) -> RunConfig:
             _is_real(val) and val > 0,
             f"tolerance {key} must be positive and finite",
         )
-    tolerances = DEFAULT_TOLERANCES.with_(**tol_raw)
+    tolerances = replace(DEFAULT_TOLERANCES, **tol_raw)
 
     radius = raw.get("domain_radius", 0.5)
     _require(
@@ -276,91 +276,56 @@ def load_config(ref: str) -> RunConfig:
     return parse_config(raw)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """A registry entry: a named config dictionary."""
-
-    name: str
-    config: dict
-
-
-def _scenario(name, config) -> Scenario:
-    config = dict(config)
-    config["scenario"] = name
-    return Scenario(name, config)
-
-
-REGISTRY: dict[str, Scenario] = {
-    sc.name: sc
-    for sc in (
-        # momentum is the integral; the solution map is affine
-        _scenario(
-            "free_particle_s1",
-            {
-                "dimension_s": 1,
-                "hamiltonian": "p1^2/2",
-                "fibration": ["q1"],
-                "auto_k": 1,
-                "base_point": [0.0, 1.0],
-            },
-        ),
-        # two commuting translations; exercises one frame extension
-        _scenario(
-            "free_particle_s2",
-            {
-                "dimension_s": 2,
-                "hamiltonian": "(p1^2 + p2^2)/2",
-                "fibration": ["q1", "q2"],
-                "auto_k": 2,
-                "base_point": [0.1, -0.2, 1.0, 0.6],
-            },
-        ),
-        # circular flow; base point off the turning circle
-        _scenario(
-            "harmonic_s1",
-            {
-                "dimension_s": 1,
-                "hamiltonian": "(q1^2 + p1^2)/2",
-                "fibration": ["q1"],
-                "auto_k": 1,
-                "base_point": [0.0, 1.0],
-            },
-        ),
-        # isotropic oscillator with a full k = s = 2 construction
-        _scenario(
-            "harmonic_s2",
-            {
-                "dimension_s": 2,
-                "hamiltonian": "(q1^2 + q2^2 + p1^2 + p2^2)/2",
-                "fibration": ["q1", "q2"],
-                "auto_k": 2,
-                "base_point": [0.3, 0.1, 1.0, 0.7],
-            },
-        ),
-        # incommensurate frequencies; no resonant shortcut
-        _scenario(
-            "anisotropic_s2",
-            {
-                "dimension_s": 2,
-                "hamiltonian": "(p1^2 + p2^2)/2 + q1^2 + 2*q2^2",
-                "fibration": ["q1", "q2"],
-                "auto_k": 2,
-                "base_point": [0.3, 0.1, 1.0, 0.7],
-            },
-        ),
-        # position-dependent cometric; k = 1 keeps one flow level
-        _scenario(
-            "nonflat_cometric_s2",
-            {
-                "dimension_s": 2,
-                "hamiltonian": {
-                    "cometric": [["1", "0"], ["0", "1/(1 + q1^2)"]],
-                    "potential": "(q1^2 + q2^2)/2",
-                },
-                "fibration": ["q1"],
-                "auto_k": 1,
-                "base_point": [0.2, 0.1, 0.9, 0.5],
-            },
-        ),
-    )
+REGISTRY: dict[str, dict] = {
+    # momentum is the integral; the solution map is affine
+    "free_particle_s1": {
+        "dimension_s": 1,
+        "hamiltonian": "p1^2/2",
+        "fibration": ["q1"],
+        "auto_k": 1,
+        "base_point": [0.0, 1.0],
+    },
+    # two commuting translations; exercises one frame extension
+    "free_particle_s2": {
+        "dimension_s": 2,
+        "hamiltonian": "(p1^2 + p2^2)/2",
+        "fibration": ["q1", "q2"],
+        "auto_k": 2,
+        "base_point": [0.1, -0.2, 1.0, 0.6],
+    },
+    # circular flow; base point off the turning circle
+    "harmonic_s1": {
+        "dimension_s": 1,
+        "hamiltonian": "(q1^2 + p1^2)/2",
+        "fibration": ["q1"],
+        "auto_k": 1,
+        "base_point": [0.0, 1.0],
+    },
+    # isotropic oscillator with a full k = s = 2 construction
+    "harmonic_s2": {
+        "dimension_s": 2,
+        "hamiltonian": "(q1^2 + q2^2 + p1^2 + p2^2)/2",
+        "fibration": ["q1", "q2"],
+        "auto_k": 2,
+        "base_point": [0.3, 0.1, 1.0, 0.7],
+    },
+    # incommensurate frequencies; no resonant shortcut
+    "anisotropic_s2": {
+        "dimension_s": 2,
+        "hamiltonian": "(p1^2 + p2^2)/2 + q1^2 + 2*q2^2",
+        "fibration": ["q1", "q2"],
+        "auto_k": 2,
+        "base_point": [0.3, 0.1, 1.0, 0.7],
+    },
+    # position-dependent cometric; k = 1 keeps one flow level
+    "nonflat_cometric_s2": {
+        "dimension_s": 2,
+        "hamiltonian": {
+            "cometric": [["1", "0"], ["0", "1/(1 + q1^2)"]],
+            "potential": "(q1^2 + q2^2)/2",
+        },
+        "fibration": ["q1"],
+        "auto_k": 1,
+        "base_point": [0.2, 0.1, 0.9, 0.5],
+    },
 }

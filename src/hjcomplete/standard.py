@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import CompleteSolution
 from .expr import ScalarField, Var, parse, serialize
-from .verify import ResidualReport, _collect
+from .verify import _PROBE_MARGIN, ResidualReport, _collect
 
 
 class QuadratureError(RuntimeError):
@@ -29,6 +28,7 @@ class QuadratureError(RuntimeError):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _MAX_BISECTIONS = 12
 _QUAD_TOL = 1e-10
+_CONSTANCY_TOL = 1e-6  # energy drift accepted by verify_characteristic
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,6 @@ class CharacteristicFunction:
 
         return _adaptive_segment(integrand, 0.0, 1.0, _MAX_BISECTIONS)
 
-    def __call__(self, q) -> float:
-        return self.value(q)
-
 
 def _gauss_segment(f, a: float, b: float) -> float:
     mid = 0.5 * (a + b)
@@ -112,23 +109,27 @@ def characteristic_function(
     return CharacteristicFunction(solution, lam, q0)
 
 
-def characteristic_family(
-    solution: CompleteSolution, grid: int, q0=None
-) -> list[CharacteristicFunction]:
-    """Characteristic functions on a regular parameter grid.
-
-    grid points per parameter axis, slightly inset from the box edges;
-    q0 defaults to the center of the position box.
-    """
-    if q0 is None:
-        q0 = solution.n_box.mean(axis=1)
+def inset_grid(box: np.ndarray, count: int) -> np.ndarray:
+    """Rows of a regular grid over box, count points per axis, inset from
+    each edge by 5% of its length."""
     axes = [
-        np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), grid)
-        for lo, hi in solution.lambda_box
+        np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), count)
+        for lo, hi in box
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
-    lams = np.column_stack([m.ravel() for m in mesh])
-    return [characteristic_function(solution, lam, q0) for lam in lams]
+    return np.column_stack([m.ravel() for m in mesh])
+
+
+def characteristic_family(
+    solution: CompleteSolution, grid: int
+) -> list[CharacteristicFunction]:
+    """Characteristic functions on inset_grid(lambda_box, grid), each
+    anchored at the center of the position box."""
+    q0 = solution.n_box.mean(axis=1)
+    return [
+        characteristic_function(solution, lam, q0)
+        for lam in inset_grid(solution.lambda_box, grid)
+    ]
 
 
 def verify_characteristic(
@@ -136,18 +137,16 @@ def verify_characteristic(
     hamiltonian: ScalarField,
     probes: int = 50,
     seed: int = 0,
-    tolerance: float = 1e-6,
-    margin: float = 0.9,
 ) -> ResidualReport:
     """Energy constancy along the section: H(q, dW(q)) must not move.
 
     The classical equation asks H composed with the gradient to be
     constant in q; the report carries the worst drift from the value at
-    the anchor point.
+    the anchor point over probes in the central 90% of the position box.
     """
     box = W.solution.n_box
     mid = box.mean(axis=1)
-    half = margin * (box[:, 1] - box[:, 0]) / 2.0
+    half = _PROBE_MARGIN * (box[:, 1] - box[:, 0]) / 2.0
     rng = np.random.default_rng(seed)
     qs = mid + rng.uniform(-1.0, 1.0, size=(probes, box.shape[0])) * half
 
@@ -156,7 +155,7 @@ def verify_characteristic(
 
     ref = energy(W.q0)
     residuals = [abs(energy(q) - ref) for q in qs]
-    return _collect("characteristic_constancy", residuals, qs, tolerance, seed)
+    return _collect("characteristic_constancy", residuals, qs, _CONSTANCY_TOL, seed)
 
 
 # ---------------------------------------------------------------------------

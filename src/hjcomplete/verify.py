@@ -54,6 +54,7 @@ class ResidualReport:
 
 
 _MAX_RECORDED_FAILURES = 5
+_PROBE_MARGIN = 0.9  # solution probes keep to the central 90% of each box
 
 
 def _collect(name, residuals, points, tolerance, seed=None) -> ResidualReport:
@@ -82,7 +83,6 @@ def hje_residual(
     probes: int = 50,
     seed: int = 0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    margin: float = 0.9,
 ) -> ResidualReport:
     """Residual of the generalized Hamilton-Jacobi equation.
 
@@ -93,7 +93,7 @@ def hje_residual(
     defect |fibration(solution) - n| is folded into the same residual.
     """
     xh = hamiltonian_vf(hamiltonian, tolerances)
-    ns, lams = solution.sample_domain(probes, seed=seed, margin=margin)
+    ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     residuals, points = [], []
     for n, lam in zip(ns, lams):
         x = solution(n, lam)
@@ -112,7 +112,6 @@ def isotropy_residual(
     probes: int = 50,
     seed: int = 0,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    margin: float = 0.9,
 ) -> ResidualReport:
     """Worst symplectic pairing among the parameter directions.
 
@@ -120,7 +119,7 @@ def isotropy_residual(
     of the leaf through each probe; isotropy demands all their pairings
     vanish.  A single column passes trivially.
     """
-    ns, lams = solution.sample_domain(probes, seed=seed, margin=margin)
+    ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     residuals, points = [], []
     for n, lam in zip(ns, lams):
         DS = solution.jacobian(n, lam)

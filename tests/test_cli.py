@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hjcomplete import construct
 from hjcomplete.cli import main
+from hjcomplete.expr import ProceduralScalar
 
 
 def _write(tmp_path, name, payload):
@@ -77,7 +80,7 @@ def test_construct_artifacts_and_closed_form(tmp_path):
             assert check["passed"] is True
 
     # free particle in closed form: q = n and p = 1 + lambda
-    raw = open(os.path.join(out, "solution_grid.csv"), "rb").read()
+    raw = Path(out, "solution_grid.csv").read_bytes()
     assert b"\r\n" in raw  # tables are CRLF
     rows = list(csv.DictReader(raw.decode("utf-8").splitlines()))
     assert len(rows) == 10
@@ -87,10 +90,8 @@ def test_construct_artifacts_and_closed_form(tmp_path):
             1.0 + float(row["lambda1"]), abs=1e-9
         )
 
-    grid = list(
-        csv.DictReader(
-            open(os.path.join(out, "integrals_grid.csv"), encoding="utf-8")
-        )
+    grid = csv.DictReader(
+        Path(out, "integrals_grid.csv").read_text(encoding="utf-8").splitlines()
     )
     for row in grid:
         assert float(row["F1"]) == pytest.approx(float(row["p1"]) - 1.0, abs=1e-9)
@@ -114,8 +115,8 @@ def test_construct_is_deterministic(tmp_path):
         assert code == 0
         outs.append(out)
     for artifact in ("report.json", "solution_grid.csv", "integrals_grid.csv"):
-        a = open(os.path.join(outs[0], artifact), "rb").read()
-        b = open(os.path.join(outs[1], artifact), "rb").read()
+        a = Path(outs[0], artifact).read_bytes()
+        b = Path(outs[1], artifact).read_bytes()
         assert a == b, f"{artifact} differs between identical runs"
 
 
@@ -135,7 +136,7 @@ def test_construct_json_tables(tmp_path):
         ]
     )
     assert code == 0
-    rows = json.load(open(os.path.join(out, "solution_grid.json")))
+    rows = json.loads(Path(out, "solution_grid.json").read_text(encoding="utf-8"))
     assert len(rows) == 6
     assert {"n1", "lambda1", "q1", "p1"} <= set(rows[0])
 
@@ -156,6 +157,44 @@ def test_construct_reports_hypothesis_failure(tmp_path):
     assert code == 1
     report = _report(out)
     assert report["error"]["type"] == "HypothesisError"
+
+
+def test_construct_reports_failed_self_verification(tmp_path, monkeypatch, capsys):
+    # integrals that gain 1e-3 q1 drift along the free flow (q1' = p1 ~ 1),
+    # which only the build's own probe check can catch
+    components = construct._integral_components
+
+    def drifting(index, k, dim_s):
+        e0 = np.eye(2 * dim_s)[0]
+        return tuple(
+            ProceduralScalar(
+                lambda x, c=c: c.value(x) + 1e-3 * x[0],
+                lambda x, c=c: c.gradient(x) + 1e-3 * e0,
+                dim_s,
+            )
+            for c in components(index, k, dim_s)
+        )
+
+    monkeypatch.setattr(construct, "_integral_components", drifting)
+    out = str(tmp_path / "run")
+    argv = ["construct", "--config", "scenario:free_particle_s1", "--probes", "6"]
+    assert main(argv + ["--out", out]) == 1
+    assert "construct: FAIL (constructed integrals" in capsys.readouterr().out
+    report = _report(out)
+    assert report["passed"] is False
+    assert report["error"]["type"] == "ConstructionError"
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == {
+        "b_history",
+        "chart_radii",
+        "flow_drift",
+        "kernel_gram",
+        "probes",
+        "seed",
+        "transversality",
+    }
+    assert diagnostics["flow_drift"] == pytest.approx(1.218e-3, rel=1e-3)
+    assert diagnostics["probes"] == 6
 
 
 def test_numerical_breakdown_exits_two(tmp_path, capsys):
@@ -234,10 +273,8 @@ def test_characteristic_command(tmp_path):
     report = _report(out)
     assert report["passed"] is True
     assert all(r["passed"] for r in report["constancy"])
-    rows = list(
-        csv.DictReader(
-            open(os.path.join(out, "characteristic.csv"), encoding="utf-8")
-        )
+    rows = csv.DictReader(
+        Path(out, "characteristic.csv").read_text(encoding="utf-8").splitlines()
     )
     # each parameter line carries one energy value: E = (1 + lambda)^2 / 2
     for row in rows:

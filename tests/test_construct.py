@@ -208,7 +208,7 @@ def test_integrals_are_independent_of_query_order(harmonic_s2):
 
     def evaluate(order):
         index = TowerIndex(F.state.tower)
-        integrals = MapField(_integral_components(index.tower, index, F.k, 2), 2)
+        integrals = MapField(_integral_components(index, F.k, 2), 2)
         return {i: (integrals.value(points[i]), integrals.jacobian(points[i]))
                 for i in order}
 

@@ -1,11 +1,20 @@
 """Residual reports, submersion geometry, and integrability labels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hjcomplete import symplectic, verify
 from hjcomplete.config import Tolerances
-from hjcomplete.construct import ChartTower, CompleteSolution
+from hjcomplete.construct import (
+    ChartTower,
+    CompleteSolution,
+    TowerIndex,
+    _integral_components,
+    build_first_integrals,
+)
+from hjcomplete.scenarios import parse_config
 from hjcomplete.expr import MapField, ScalarField
 from hjcomplete.symplectic import fd_jacobian, hamiltonian_vf
 from hjcomplete.verify import (
@@ -239,6 +248,68 @@ def test_submersion_checks_solve_the_tower_once_per_probe(harmonic_s2, monkeypat
     pts = F.sample_points(4, seed=89)
     assert submersion_checks(F, pts, fibration=Pi).passed
     assert 0 < len(calls) <= len(pts)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shear:
+    """The chart y -> y + y_a y_b e_c (c not in {a, b}), inverse in closed form."""
+
+    a: int
+    b: int
+    c: int
+    domain_radius: float
+
+    def forward(self, y):
+        z = np.array(y, dtype=float)
+        z[self.c] += z[self.a] * z[self.b]
+        return z
+
+    def forward_and_jacobian(self, y):
+        D = np.eye(len(y))
+        D[self.c, self.a] += y[self.b]
+        D[self.c, self.b] += y[self.a]
+        return self.forward(y), D
+
+    def inverse(self, x, y0=None):
+        y = np.array(x, dtype=float)
+        y[self.c] -= y[self.a] * y[self.b]
+        return y
+
+
+def test_tower_frobenius_control_fails_on_a_sheared_chart():
+    # A constructed F is integrable by construction, so the chart-side
+    # stencil needs a tower that is not.  With l = 3 > s the kernel is a
+    # line, always isotropic, so Frobenius must fail alone.  Appending
+    # y -> y + y0 y1 e2 turns F_2 into y2 - y0 y1, which mixes in the head;
+    # y -> y + y2 y3 e1 only relabels the level sets of F and must pass.
+    cfg = parse_config({"scenario": "nonflat_cometric_s2", "probes": 10})
+    m, Pi = np.array(cfg.base_point), cfg.fibration()
+    F = build_first_integrals(
+        cfg.hamiltonian(), Pi, m, cfg.tolerances, cfg.integrator_settings(),
+        cfg.domain_radius, probes=cfg.probes, seed=cfg.seed,
+    )
+    assert (F.k, F.l) == (1, 3)
+    tower = F.state.tower
+    radius = min(c.domain_radius for c in tower.charts)
+
+    def sheared(a, b, c):
+        sheared_tower = dataclasses.replace(
+            tower, charts=tower.charts + (_Shear(a, b, c, radius),)
+        )
+        index = TowerIndex(sheared_tower)
+        integrals = MapField(_integral_components(index, F.k, 2), 2)
+        state = dataclasses.replace(F.state, tower=sheared_tower)
+        G = dataclasses.replace(F, integrals=integrals, state=state, index=index)
+        return submersion_checks(G, F.points, fibration=Pi)
+
+    bad = sheared(0, 1, 2)
+    assert bad.rank.passed and bad.kernel_gram.passed
+    assert not bad.frobenius.passed
+    assert bad.frobenius.max_residual > 0.1
+
+    relabelled = sheared(2, 3, 1)
+    assert relabelled.passed
+    assert relabelled.frobenius.max_residual < 1e-8
 
 
 def test_parsed_pairs_make_no_finite_differences(monkeypatch):
