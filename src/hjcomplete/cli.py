@@ -27,7 +27,6 @@ from .construct import (
     ConstructionError,
     DualityError,
     FibrationError,
-    FirstIntegralSubmersion,
     FrameExtensionError,
     HypothesisError,
     TransversalityError,
@@ -48,6 +47,7 @@ from .standard import (
 )
 from .symplectic import hamiltonian_vf, numerical_rank
 from .verify import (
+    _PROBE_MARGIN,
     ResidualReport,
     SubmersionReport,
     first_integral_residual,
@@ -102,20 +102,17 @@ def _canon(value):
 
 
 def _residual_dict(report: ResidualReport) -> dict:
-    return _canon(
-        {
-            "name": report.name,
-            "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "probes": report.probe_count,
-            "seed": report.seed,
-            "failures": [
-                {"point": point, "residual": value}
-                for point, value in report.failures
-            ],
-            "passed": report.passed,
-        }
-    )
+    return {
+        "name": report.name,
+        "max_residual": report.max_residual,
+        "tolerance": report.tolerance,
+        "probes": report.probe_count,
+        "seed": report.seed,
+        "failures": [
+            {"point": point, "residual": value} for point, value in report.failures
+        ],
+        "passed": report.passed,
+    }
 
 
 def _submersion_dict(report: SubmersionReport) -> dict:
@@ -159,37 +156,46 @@ def _write_report(outdir: str, report: dict) -> str:
 # shared pipeline pieces
 
 
-def _resolve_fibration(cfg: RunConfig, hamiltonian, m) -> tuple[MapField, dict]:
-    explicit = cfg.fibration()
-    if explicit is not None:
-        return explicit, {
-            "mode": "explicit",
-            "sources": list(cfg.fibration_sources),
-        }
+def _auto_fibration(cfg: RunConfig, hamiltonian, m):
+    """The fibration plan adapted to X_H(m) for cfg.auto_k, and its report entry."""
     xh = hamiltonian_vf(hamiltonian, cfg.tolerances)
     plan = build_fibration(xh, m, cfg.auto_k)
     meta = {
-        "mode": "auto",
         "sources": list(plan.sources),
         "swap_applied": plan.swap_applied,
         "q_order": list(plan.q_order),
     }
-    return plan.pi, meta
+    return plan, meta
+
+
+def _resolve_fibration(cfg: RunConfig, hamiltonian, m) -> tuple[MapField, dict]:
+    explicit = cfg.fibration()
+    if explicit is not None:
+        return explicit, {"mode": "explicit", "sources": list(cfg.fibration_sources)}
+    plan, meta = _auto_fibration(cfg, hamiltonian, m)
+    return plan.pi, {"mode": "auto", **meta}
 
 
 def _assumptions_dict(report) -> dict:
-    return _canon(
-        {
-            "dimension_s": report.dimension_s,
-            "k": report.k,
-            "l": report.l,
-            "submersion_ok": report.submersion_ok,
-            "flow_transverse": report.flow_transverse,
-            "kernel_coisotropic": report.kernel_coisotropic,
-            "messages": list(report.messages),
-            "passed": report.passed,
-        }
-    )
+    return {
+        "dimension_s": report.dimension_s,
+        "k": report.k,
+        "l": report.l,
+        "submersion_ok": report.submersion_ok,
+        "flow_transverse": report.flow_transverse,
+        "kernel_coisotropic": report.kernel_coisotropic,
+        "messages": list(report.messages),
+        "passed": report.passed,
+    }
+
+
+def _boxes(solution: CompleteSolution) -> dict:
+    return {"n": solution.n_box, "lambda": solution.lambda_box}
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    """Table headers prefix1..prefix<count>."""
+    return [f"{prefix}{i + 1}" for i in range(count)]
 
 
 def _construct_pipeline(cfg: RunConfig):
@@ -237,89 +243,65 @@ def _verification_suite(cfg, hamiltonian, fibration, F, solution, points) -> dic
 # commands
 
 
-def cmd_check(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
+def cmd_check(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     m = np.array(cfg.base_point)
     hamiltonian = cfg.hamiltonian()
     fibration, fib_meta = _resolve_fibration(cfg, hamiltonian, m)
     report = check_assumptions(hamiltonian, fibration, m, cfg.tolerances)
-    payload = {
-        "command": "check",
-        "config": cfg.echo(),
+    return {
         "fibration": fib_meta,
         "assumptions": _assumptions_dict(report),
         "passed": report.passed,
     }
-    return payload, EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
+def cmd_construct(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     _, hamiltonian, fibration, fib_meta, F, solution = _construct_pipeline(cfg)
     suite = _verification_suite(cfg, hamiltonian, fibration, F, solution, F.points)
 
     s = cfg.dimension_s
-    k, l = F.k, F.l
-    ns, lams = solution.sample_domain(cfg.probes, cfg.seed, margin=0.9)
-    sol_header = (
-        [f"n{i + 1}" for i in range(k)]
-        + [f"lambda{i + 1}" for i in range(l)]
-        + [f"q{i + 1}" for i in range(s)]
-        + [f"p{i + 1}" for i in range(s)]
-    )
+    ns, lams = solution.sample_domain(cfg.probes, cfg.seed, margin=_PROBE_MARGIN)
+    qp = _names("q", s) + _names("p", s)
+    sol_header = _names("n", F.k) + _names("lambda", F.l) + qp
     sol_rows = [
         list(n) + list(lam) + list(solution(n, lam)) for n, lam in zip(ns, lams)
     ]
     files = [_write_table(os.path.join(outdir, "solution_grid"), sol_header, sol_rows, fmt)]
 
-    int_header = (
-        [f"q{i + 1}" for i in range(s)]
-        + [f"p{i + 1}" for i in range(s)]
-        + [f"F{i + 1}" for i in range(l)]
-    )
+    int_header = qp + _names("F", F.l)
     int_rows = [list(x) + list(F.integrals.value(x)) for x in F.points]
     files.append(
         _write_table(os.path.join(outdir, "integrals_grid"), int_header, int_rows, fmt)
     )
 
-    payload = {
-        "command": "construct",
-        "config": cfg.echo(),
+    return {
         "fibration": fib_meta,
         "assumptions": _assumptions_dict(F.state.assumptions),
-        "construction": _canon(F.diagnostics),
-        "boxes": {
-            "n": _canon(solution.n_box),
-            "lambda": _canon(solution.lambda_box),
-        },
+        "construction": F.diagnostics,
+        "boxes": _boxes(solution),
         "checks": suite["checks"],
         "tables": [os.path.basename(f) for f in files],
         "passed": suite["passed"],
     }
-    return payload, EXIT_PASS if suite["passed"] else EXIT_CHECK_FAILED
 
 
 def _require_position_projection(cfg: RunConfig) -> None:
-    s = cfg.dimension_s
-    want = tuple(f"q{i + 1}" for i in range(s))
-    if cfg.fibration_sources is None or tuple(cfg.fibration_sources) != want:
+    want = _names("q", cfg.dimension_s)
+    if cfg.fibration_sources is None or list(cfg.fibration_sources) != want:
         raise ConfigError(
             "characteristic functions need the explicit position projection "
-            f"fibration {list(want)}"
+            f"fibration {want}"
         )
 
 
-def cmd_characteristic(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
+def cmd_characteristic(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     _require_position_projection(cfg)
     m, hamiltonian, fibration, fib_meta, F, solution = _construct_pipeline(cfg)
-    s = cfg.dimension_s
 
     family = characteristic_family(solution, cfg.lambda_grid)
     q_grid = inset_grid(solution.n_box, cfg.lambda_grid)
 
-    header = (
-        [f"lambda{i + 1}" for i in range(solution.l)]
-        + [f"q{i + 1}" for i in range(s)]
-        + ["W", "E"]
-    )
+    header = _names("lambda", solution.l) + _names("q", cfg.dimension_s) + ["W", "E"]
     rows = []
     reports = []
     for W in family:
@@ -334,23 +316,16 @@ def cmd_characteristic(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int
         _write_table(os.path.join(outdir, "characteristic"), header, rows, fmt)
     ]
 
-    passed = all(r.passed for r in reports)
-    payload = {
-        "command": "characteristic",
-        "config": cfg.echo(),
+    return {
         "fibration": fib_meta,
-        "boxes": {
-            "n": _canon(solution.n_box),
-            "lambda": _canon(solution.lambda_box),
-        },
+        "boxes": _boxes(solution),
         "constancy": [_residual_dict(r) for r in reports],
         "tables": [os.path.basename(f) for f in files],
-        "passed": passed,
+        "passed": all(r.passed for r in reports),
     }
-    return payload, EXIT_PASS if passed else EXIT_CHECK_FAILED
 
 
-def cmd_integrability(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
+def cmd_integrability(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     integrals = cfg.integrals()
     if integrals is None:
         raise ConfigError("integrability requires an integrals list in the config")
@@ -358,21 +333,16 @@ def cmd_integrability(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]
     hamiltonian = cfg.hamiltonian()
     dF = integrals.jacobian(m)
     if numerical_rank(dF, cfg.tolerances.rank) != integrals.target_dim:
-        payload = {
-            "command": "integrability",
-            "config": cfg.echo(),
+        return {
             "error": "integrals are not a submersion at the base point",
             "passed": False,
         }
-        return payload, EXIT_CHECK_FAILED
 
     points = sample_cube(m, 0.5 * cfg.domain_radius, cfg.probes, cfg.seed)
     report = integrability_report(
         hamiltonian, integrals, points, cfg.tolerances, cfg.seed
     )
-    payload = {
-        "command": "integrability",
-        "config": cfg.echo(),
+    return {
         "classification": {
             "non_commutative_integrable": report.non_commutative,
             "commutative_integrable": report.commutative,
@@ -384,32 +354,24 @@ def cmd_integrability(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]
         "submersion": _submersion_dict(report.submersion),
         "passed": report.non_commutative,
     }
-    return payload, EXIT_PASS if report.non_commutative else EXIT_CHECK_FAILED
 
 
-def cmd_fibration(cfg: RunConfig, outdir: str, fmt: str) -> tuple[dict, int]:
+def cmd_fibration(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     if cfg.auto_k is None:
         raise ConfigError("fibration requires auto_k in the config")
     m = np.array(cfg.base_point)
     hamiltonian = cfg.hamiltonian()
-    xh = hamiltonian_vf(hamiltonian, cfg.tolerances)
-    plan = build_fibration(xh, m, cfg.auto_k)
+    plan, meta = _auto_fibration(cfg, hamiltonian, m)
     report = check_assumptions(hamiltonian, plan.pi, m, cfg.tolerances)
-    payload = {
-        "command": "fibration",
-        "config": cfg.echo(),
-        "fibration": {
-            "sources": list(plan.sources),
-            "swap_applied": plan.swap_applied,
-            "q_order": list(plan.q_order),
-        },
+    print("pi = (" + ", ".join(plan.sources) + ")")
+    return {
+        "fibration": meta,
         "assumptions": _assumptions_dict(report),
         "passed": report.passed,
     }
-    print("pi = (" + ", ".join(plan.sources) + ")")
-    return payload, EXIT_PASS if report.passed else EXIT_CHECK_FAILED
 
 
+# each command returns its report body; main adds the envelope and exit code
 _COMMANDS = {
     "check": cmd_check,
     "construct": cmd_construct,
@@ -459,34 +421,33 @@ def main(argv=None) -> int:
     outdir = args.out
     os.makedirs(outdir, exist_ok=True)
 
+    failure = None
     try:
-        payload, code = _COMMANDS[args.command](cfg, outdir, args.format)
+        body = _COMMANDS[args.command](cfg, outdir, args.format)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _CHECK_ERRORS + _NUMERICAL_ERRORS as exc:
-        payload = {
-            "command": args.command,
-            "config": cfg.echo(),
+        failure = exc
+        body = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "passed": False,
         }
         diagnostics = getattr(exc, "diagnostics", None)
         if diagnostics:
-            payload["diagnostics"] = _canon(
-                {k: v for k, v in diagnostics.items() if not isinstance(v, dict)}
-            )
-        _write_report(outdir, payload)
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            print(f"{args.command}: numerical failure ({exc})")
-            return EXIT_NUMERICAL
-        print(f"{args.command}: FAIL ({exc})")
-        return EXIT_CHECK_FAILED
+            body["diagnostics"] = {
+                k: v for k, v in diagnostics.items() if not isinstance(v, dict)
+            }
 
-    _write_report(outdir, payload)
-    status = "pass" if code == EXIT_PASS else "FAIL"
-    print(f"{args.command}: {status}")
-    return code
+    _write_report(outdir, {"command": args.command, "config": cfg.echo(), **body})
+    if failure is None:
+        print(f"{args.command}: {'pass' if body['passed'] else 'FAIL'}")
+        return EXIT_PASS if body["passed"] else EXIT_CHECK_FAILED
+    if isinstance(failure, _NUMERICAL_ERRORS):
+        print(f"{args.command}: numerical failure ({failure})")
+        return EXIT_NUMERICAL
+    print(f"{args.command}: FAIL ({failure})")
+    return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -39,13 +39,13 @@ from .newton import NewtonError, newton_solve
 from .symplectic import (
     Subspace,
     VectorField,
-    apply_structure,
+    _rank,
     classify,
     fd_jacobian,
     hamiltonian_vf,
+    isotropy_defect,
     nullspace,
     numerical_rank,
-    omega,
     structure_matrix,
 )
 
@@ -211,12 +211,16 @@ class ChartTower:
     def solve_stack(
         self, x: np.ndarray, guesses: Optional[Sequence[np.ndarray]] = None
     ) -> list[np.ndarray]:
-        """Coordinates of x at every level, outermost first."""
+        """Coordinates of x at every level, outermost first.  A chart's
+        failure is re-raised with its level (charts[0] is level 1)."""
         eta = np.asarray(x, dtype=float)
         stack = []
         for j, chart in enumerate(self.charts):
             y0 = None if guesses is None else guesses[j]
-            eta = chart.inverse(eta, y0=y0)
+            try:
+                eta = chart.inverse(eta, y0=y0)
+            except (ChartError, FlowError) as exc:
+                raise type(exc)(f"level {j + 1} chart inversion: {exc}") from exc
             stack.append(eta)
         return stack
 
@@ -448,10 +452,7 @@ def _validate_frame_invariants(state: FrameState) -> None:
     vals = np.column_stack([fld(m) for fld in state.fields])
     r = state.r
     tol = state.tolerances
-    worst = 0.0
-    for i in range(r):
-        for j in range(i + 1, r):
-            worst = max(worst, abs(omega(vals[:, i], vals[:, j])))
+    worst = isotropy_defect(vals)
     if worst > tol.residual:
         raise FrameExtensionError(
             f"frame is not isotropic at the base point: |omega| = {worst:.3e}",
@@ -523,7 +524,7 @@ def extend_frame(state: FrameState) -> FrameState:
         candidate = D0 @ lam0[:, b]
         stacked = np.column_stack([frame_vals, candidate, state.kernel_basis])
         sv = np.linalg.svd(stacked, compute_uv=False)
-        rank = int(np.sum(sv > tol.rank * sv[0])) if sv[0] > 0 else 0
+        rank = _rank(sv, tol.rank)
         if rank == want:
             score = sv[want - 1]
             if score > best_score:
@@ -675,8 +676,7 @@ def build_first_integrals(
         stacked = np.vstack([fibration.jacobian(x), dF])
         if numerical_rank(stacked, tolerances.rank) != 2 * state.dimension_s:
             transverse = False
-        kernel = nullspace(dF, tolerances.rank)
-        gram = max(gram, float(np.max(np.abs(kernel.T @ apply_structure(kernel)))))
+        gram = max(gram, isotropy_defect(nullspace(dF, tolerances.rank)))
 
     diagnostics = {
         "flow_drift": drift,
@@ -941,16 +941,18 @@ def solution_from_integrals(
     probe_dirs[np.abs(probe_dirs) < 0.25] = 0.25  # keep probes near faces
     while True:
         try:
-            for d in probe_dirs:
+            for probe, d in enumerate(probe_dirs):
                 target = center + d * half
                 solve(target[:k], target[k:])
             break
-        except (NewtonError, ChartError, FlowError):
+        except (NewtonError, ChartError, FlowError) as exc:
             half = half / 2.0
             if np.min(2.0 * half) < _MIN_BOX_EDGE:
                 raise DualityError(
-                    "solution domain shrank below the minimum box edge during validation"
-                )
+                    "solution domain shrank below the minimum box edge during "
+                    f"validation; validation probe {probe + 1} of {len(probe_dirs)}: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
 
     solved = _memo(solve)  # S and DS at one point share a solve
     n_box = np.column_stack([center[:k] - half[:k], center[:k] + half[:k]])

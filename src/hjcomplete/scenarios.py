@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
-import numpy as np
-
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import MapField, ParseError, ScalarField
 from .flows import IntegratorSettings
@@ -107,11 +105,7 @@ class RunConfig:
             "auto_k": self.auto_k,
             "base_point": list(self.base_point),
             "tolerances": {
-                "rank": self.tolerances.rank,
-                "newton": self.tolerances.newton,
-                "ode_abs": self.tolerances.ode_abs,
-                "ode_rel": self.tolerances.ode_rel,
-                "residual": self.tolerances.residual,
+                key: getattr(self.tolerances, key) for key in _TOLERANCE_KEYS
             },
             "domain_radius": self.domain_radius,
             "probes": self.probes,

@@ -24,6 +24,7 @@ __all__ = [
     "structure_matrix",
     "omega",
     "apply_structure",
+    "isotropy_defect",
     "numerical_rank",
     "nullspace",
     "Subspace",
@@ -50,7 +51,8 @@ def structure_matrix(dimension_s: int) -> np.ndarray:
 
 
 def apply_structure(u: np.ndarray) -> np.ndarray:
-    """J u without forming J; u ordered (q block, p block)."""
+    """J u without forming J; u is a vector or a matrix of columns, its
+    rows ordered (q block, p block)."""
     u = np.asarray(u, dtype=float)
     s = u.shape[0] // 2
     return np.concatenate([u[s:], -u[:s]])
@@ -66,25 +68,28 @@ def omega(u, v) -> float:
     return float(u[:s] @ v[s:] - u[s:] @ v[:s])
 
 
+def isotropy_defect(V: np.ndarray) -> float:
+    """max |omega(v_i, v_j)| over the columns of V: 0 exactly on an
+    isotropic set, and 0 for no columns."""
+    V = np.asarray(V, dtype=float)
+    return float(np.max(np.abs(V.T @ apply_structure(V)), initial=0.0))
+
+
+def _rank(sv: np.ndarray, rank_tol: float) -> int:
+    """The rank cutoff: singular values above rank_tol times the largest."""
+    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+
+
 def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank) -> int:
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0:
-        return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rank_tol * sv[0]))
+    return _rank(np.linalg.svd(A, compute_uv=False), rank_tol)
 
 
 def nullspace(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     _, sv, vh = np.linalg.svd(A)
-    if sv.size and sv[0] > 0.0:
-        rank = int(np.sum(sv > rank_tol * sv[0]))
-    else:
-        rank = 0
-    return vh[rank:].T.copy()
+    return vh[_rank(sv, rank_tol):].T.copy()
 
 
 @dataclass(frozen=True)
@@ -112,10 +117,8 @@ class Subspace:
             V = V[:, None]
         if V.shape[0] != basepoint.shape[0]:
             raise ValueError("vectors must live in the tangent space at basepoint")
-        if V.shape[1] == 0:
-            return cls(basepoint, np.zeros((basepoint.shape[0], 0)), rank_tol)
         U, sv, _ = np.linalg.svd(V, full_matrices=False)
-        rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0.0 else 0
+        rank = _rank(sv, rank_tol)
         if rank < V.shape[1]:
             raise ValueError(
                 f"spanning set is rank deficient: rank {rank} from {V.shape[1]} vectors"
@@ -133,8 +136,6 @@ class Subspace:
 
 def contains(outer: Subspace, inner: Subspace) -> bool:
     """Subspace containment by a rank test: inner <= outer."""
-    if inner.dim == 0:
-        return True
     stacked = np.hstack([outer.basis, inner.basis])
     tol = min(outer.rank_tol, inner.rank_tol)
     return numerical_rank(stacked, tol) == outer.dim
@@ -148,7 +149,7 @@ def symp_orth(V: Subspace) -> Subspace:
     """
     if V.ambient_dim % 2:
         raise ValueError("ambient dimension must be even")
-    JB = np.apply_along_axis(apply_structure, 0, V.basis) if V.dim else V.basis
+    JB = apply_structure(V.basis)
     kernel = nullspace(JB.T, V.rank_tol) if V.dim else np.eye(V.ambient_dim)
     return Subspace(V.basepoint, kernel, V.rank_tol)
 
@@ -165,12 +166,8 @@ def classify(V: Subspace) -> SubspaceClass:
     W = symp_orth(V)
     iso = contains(W, V)
     coiso = contains(V, W)
-    tol = V.rank_tol
-    if V.dim == 0 or W.dim == 0:
-        transverse = True
-    else:
-        stacked = np.hstack([V.basis, W.basis])
-        transverse = numerical_rank(stacked, tol) == V.dim + W.dim
+    stacked = np.hstack([V.basis, W.basis])
+    transverse = numerical_rank(stacked, V.rank_tol) == V.dim + W.dim
     return SubspaceClass(
         isotropic=iso,
         coisotropic=coiso,

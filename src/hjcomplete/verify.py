@@ -22,6 +22,7 @@ from .symplectic import (
     fd_jacobian,
     hamiltonian_jacobian,
     hamiltonian_vf,
+    isotropy_defect,
     nullspace,
     numerical_rank,
     symp_orth,
@@ -98,7 +99,7 @@ def hje_residual(
     for n, lam in zip(ns, lams):
         x = solution(n, lam)
         DS = solution.jacobian(n, lam)
-        A = DS.T @ np.column_stack([apply_structure(c) for c in DS.T])
+        A = DS.T @ apply_structure(DS)
         X = np.concatenate([fibration.jacobian(x) @ xh(x), np.zeros(solution.l)])
         covector = X @ A - hamiltonian.gradient(x) @ DS
         defect = np.max(np.abs(fibration.value(x) - n))
@@ -122,10 +123,7 @@ def isotropy_residual(
     ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     residuals, points = [], []
     for n, lam in zip(ns, lams):
-        DS = solution.jacobian(n, lam)
-        cols = DS[:, : solution.k]
-        gram = cols.T @ np.column_stack([apply_structure(c) for c in cols.T])
-        residuals.append(float(np.max(np.abs(gram))))
+        residuals.append(isotropy_defect(solution.jacobian(n, lam)[:, : solution.k]))
         points.append(np.concatenate([n, lam]))
     return _collect("isotropy_residual", residuals, points, tolerances.residual, seed)
 
@@ -223,11 +221,7 @@ def submersion_checks(
         rank_resid.append(float(deficit))
 
         kernel = nullspace(dF, tolerances.rank)
-        if kernel.shape[1] == 0:  # trivial kernel, nothing to pair
-            gram_resid.append(0.0)
-        else:
-            JK = np.column_stack([apply_structure(v) for v in kernel.T])
-            gram_resid.append(float(np.max(np.abs(kernel.T @ JK))))
+        gram_resid.append(isotropy_defect(kernel))
 
         vals = np.column_stack([apply_structure(g) for g in dF])
         comp = symp_orth(Subspace(np.asarray(x, float), kernel, tolerances.rank))
@@ -295,8 +289,5 @@ def integrability_report(
             lagrangian = False
             break
 
-    non_comm = (
-        sub.rank.passed and sub.kernel_gram.passed and sub.frobenius.passed
-    )
-    comm = non_comm and l == s and lagrangian
-    return IntegrabilityReport(fi, sub, s, l, lagrangian, non_comm, comm)
+    comm = sub.passed and l == s and lagrangian
+    return IntegrabilityReport(fi, sub, s, l, lagrangian, sub.passed, comm)

@@ -11,6 +11,7 @@ import pytest
 from hjcomplete import construct
 from hjcomplete.cli import main
 from hjcomplete.expr import ProceduralScalar
+from hjcomplete.scenarios import parse_config
 
 
 def _write(tmp_path, name, payload):
@@ -430,3 +431,61 @@ def test_integrability_reports_a_derivative_fault(tmp_path, capsys):
         "sqrt is not differentiable at 0.0 in 'sqrt(q1^2.0 + p1^2.0)'"
     )
     assert "numerical failure" in capsys.readouterr().out
+
+
+_OSCILLATOR = {
+    "dimension_s": 2,
+    "hamiltonian": "(q1^2 + q2^2 + p1^2 + p2^2)/2",
+    "fibration": ["q1", "q2"],
+    "base_point": [0.3, 0.1, 1.0, 0.7],
+    "probes": 10,
+}
+_TANGENT_FLOW = {
+    "dimension_s": 1,
+    "hamiltonian": "p1^2/2",
+    "fibration": ["p1"],
+    "base_point": [0.0, 1.0],
+}
+# case -> (subcommand, config, whether it passes)
+_ENVELOPE_RUNS = {
+    "check": ("check", {"scenario": "free_particle_s1"}, True),
+    "check-tangent-flow": ("check", _TANGENT_FLOW, False),
+    "construct": ("construct", {"scenario": "free_particle_s1", "probes": 10}, True),
+    "construct-hypothesis-error": ("construct", _TANGENT_FLOW, False),
+    "characteristic": (
+        "characteristic", {"scenario": "free_particle_s1", "probes": 10}, True
+    ),
+    "fibration": ("fibration", {"scenario": "free_particle_s1"}, True),
+    "integrability": (
+        "integrability",
+        dict(_OSCILLATOR, integrals=[_OSCILLATOR["hamiltonian"], "q1*p2 - q2*p1"]),
+        True,
+    ),
+    "integrability-not-integrable": (
+        "integrability", dict(_OSCILLATOR, integrals=["p1", "q1*p2"]), False
+    ),
+    "integrability-not-a-submersion": (
+        "integrability", dict(_OSCILLATOR, integrals=["q1", "q1^2"]), False
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENVELOPE_RUNS))
+def test_every_report_carries_the_envelope(tmp_path, case):
+    # each subcommand and each early return writes the same envelope:
+    # the subcommand, the echoed config and a bool verdict that sets the
+    # exit code
+    command, config, passes = _ENVELOPE_RUNS[case]
+    cfg = _write(tmp_path, "cfg.json", config)
+    out = str(tmp_path / "run")
+    code = main([command, "--config", cfg, "--out", out])
+    report = _report(out)
+    assert report["command"] == command
+    assert report["config"] == json.loads(json.dumps(parse_config(config).echo()))
+    assert report["passed"] is passes
+    assert code == (0 if passes else 1)
+    if case == "construct-hypothesis-error":
+        assert report["error"]["type"] == "HypothesisError"
+    if case == "integrability-not-a-submersion":
+        assert "submersion" in report["error"]
+

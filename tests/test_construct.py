@@ -29,6 +29,7 @@ from hjcomplete.construct import (
 )
 from hjcomplete.expr import MapField, ScalarField
 from hjcomplete.flows import flow
+from hjcomplete.newton import NewtonError
 from hjcomplete.symplectic import (
     apply_structure,
     fd_jacobian,
@@ -174,6 +175,30 @@ def test_tower_inversion_round_trip(harmonic_s2):
     assert np.max(np.abs(index.solve(x).coords - y)) < 1e-8
     # repeated solves hit the memo, not a fresh Newton run
     assert index.solve(x) is index.solve(x)
+
+
+class _RefusingChart:
+    """A duck-typed chart whose inversion always fails with `error`."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def inverse(self, p, y0=None):
+        raise self.error("point outside chart domain")
+
+
+@pytest.mark.parametrize("error", [flows.ChartError, flows.FlowError])
+def test_tower_inversion_failure_names_its_level(harmonic_s2, error):
+    # a failing second chart keeps its error type, and the message gains
+    # the level while the chart's own error stays chained as the cause
+    _, _, m, F, _ = harmonic_s2
+    tower = F.state.tower
+    broken = dataclasses.replace(
+        tower, charts=(tower.charts[0], _RefusingChart(error))
+    )
+    with pytest.raises(error, match="^level 2 chart inversion: point outside") as info:
+        TowerIndex(broken).solve(m)
+    assert type(info.value.__cause__) is error
 
 
 def test_tower_coordinate_differential_is_inverse_jacobian_row(harmonic_s2):
@@ -673,5 +698,8 @@ def test_duality_refuses_unreachable_boxes():
     # fits inside the range; validation must shrink and then refuse
     Pi = MapField.from_sources(("q1",), 1)
     F = MapField.from_sources(("sin(p1)",), 1)
-    with pytest.raises(DualityError, match="shrank"):
+    with pytest.raises(
+        DualityError, match=r"shrank.*validation probe \d+ of 20: NewtonError"
+    ) as info:
         solution_from_integrals(Pi, F, [0.0, 1.5698])
+    assert isinstance(info.value.__cause__, NewtonError)

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hjcomplete.config import Tolerances
 from hjcomplete.expr import ScalarField
 from hjcomplete.symplectic import (
     Subspace,
     VectorField,
+    _rank,
     classify,
     contains,
     fd_jacobian,
     hamiltonian_vf,
+    isotropy_defect,
     lie_bracket,
     nullspace,
     numerical_rank,
@@ -137,6 +141,37 @@ def test_numerical_rank_relative_cutoff():
     assert numerical_rank(M, TOL.rank) == 1
     assert numerical_rank(np.diag([1.0, 1e-6]), TOL.rank) == 2
     assert numerical_rank(np.zeros((3, 3)), TOL.rank) == 0
+    assert numerical_rank(np.zeros((4, 0)), TOL.rank) == 0
+
+
+def test_rank_cutoff_of_empty_and_zero_spectra():
+    assert _rank(np.zeros(0), TOL.rank) == 0
+    assert _rank(np.zeros(3), TOL.rank) == 0
+    assert _rank(np.array([2.0, 1.0, 1e-12]), TOL.rank) == 2
+
+
+def test_isotropy_defect_of_no_columns_is_zero():
+    assert isotropy_defect(np.zeros((4, 0))) == 0.0
+
+
+def test_isotropy_defect_vanishes_on_a_lagrangian_graph():
+    # the columns of [I; S] span a Lagrangian subspace when S is symmetric
+    A = np.random.default_rng(5).standard_normal((3, 3))
+    V = np.vstack([np.eye(3), A + A.T])
+    assert isotropy_defect(V) <= 1e-14
+    assert classify(Subspace.span(np.zeros(6), V, TOL.rank)).lagrangian
+
+
+_FRAMES = st.tuples(st.integers(1, 3), st.integers(0, 4)).flatmap(
+    lambda sr: arrays(float, (2 * sr[0], sr[1]), elements=st.floats(-1.0, 1.0))
+)
+
+
+@given(_FRAMES)
+def test_isotropy_defect_is_the_largest_pairwise_omega(V):
+    r = V.shape[1]
+    pairs = [abs(omega(V[:, i], V[:, j])) for i in range(r) for j in range(i + 1, r)]
+    assert isotropy_defect(V) == pytest.approx(max(pairs, default=0.0), abs=1e-12)
 
 
 def test_nullspace_orthonormal():
@@ -180,6 +215,25 @@ def test_classify_four_kinds():
     assert flags([e[0], e[1]]) == (True, True, True, False)
     assert flags([e[0], e[2]]) == (False, False, False, True)
     assert flags([e[0], e[1], e[2]]) == (False, True, False, False)
+
+
+def test_degenerate_subspaces():
+    # no vectors span the zero subspace; it and the whole space are the
+    # trivially isotropic and the trivially coisotropic extremes
+    base = np.zeros(4)
+    zero = Subspace.span(base, np.zeros((4, 0)), TOL.rank)
+    whole = Subspace.span(base, np.eye(4), TOL.rank)
+    assert zero.basis.shape == (4, 0)
+    assert symp_orth(zero).dim == 4 and symp_orth(whole).dim == 0
+    assert contains(whole, zero) and contains(zero, zero)
+    assert not contains(zero, whole)
+
+    def flags(V):
+        c = classify(V)
+        return (c.isotropic, c.coisotropic, c.lagrangian, c.symplectic)
+
+    assert flags(zero) == (True, False, False, True)
+    assert flags(whole) == (False, True, False, True)
 
 
 def test_contains():
