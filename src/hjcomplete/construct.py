@@ -14,13 +14,13 @@ function and the memo only saves time.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
 flows the lifted field lam_{j-1}[:, b] in level j-1 coordinates, where
-the earlier frame fields are the translations e_0..e_{j-2}.  Because the
-frame fields are Hamiltonian and commute, the pulled-back Poisson matrix
-of each level is algebraic in its slice data and one evaluation of the
-parent matrix (see _level_poisson); no integration is needed to evaluate
-lifted fields in chart coordinates, nor finite differences for their
-Jacobians.  Numerical integration only enters through the chart flows
-and chart domain validation.
+the earlier frame fields are the translations e_0..e_{j-2}.  As the frame
+fields are Hamiltonian and commute, each level's Poisson matrix
+Q^{-1} L Q^{-T} is algebraic in its slice data and one parent call
+(_level_poisson): Q is orthogonal but for one column, so it inverts by a
+Sherman-Morrison correction, and at level 1 the canonical L has dL = 0.
+Lifted fields and their Jacobians need no integration and no finite
+difference; integration enters only through chart flows and domains.
 """
 
 from __future__ import annotations
@@ -94,6 +94,20 @@ class DomainBoxError(ValueError):
 # chart tower
 
 
+def _slice_inverse(Ot, c, r: int, X: np.ndarray) -> np.ndarray:
+    """Q^{-1} = O^T - (w - e_r) c^T / w_r, w = O^T X, for Q = B + X e_r^T
+    with Ot = O^T and O = B + c e_r^T orthogonal (Sherman-Morrison)."""
+    w = Ot @ X
+    wr = float(w[r])
+    if not 0.0 < abs(wr) < np.inf:  # level r + 1: r frame fields lie below
+        raise FlowError(
+            f"level {r + 1} Poisson matrix: the flowed field is tangent to "
+            f"the chart slice, w_r = {wr!r}"
+        )
+    w[r] = wr - 1.0
+    return Ot - (w / wr)[:, None] * c
+
+
 def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int]):
     """Poisson matrix field in the coordinates of `chart`.
 
@@ -107,53 +121,55 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int])
     j >= 2 X is the parent's column L[:, column], so one parent call
     gives both.
 
+    Q is never factorised: B's nonzero columns are orthonormal, so with c
+    their unit normal, O = B + c e_r^T is orthogonal (both are fixed per
+    chart) and Q^{-1} is a Sherman-Morrison correction of O^T by rank one
+    (_slice_inverse).  Its divisor w_r = c.X(z) is the transversality of X
+    to the slice; where it vanishes lam raises FlowError, which a chart
+    probe reads as a failure, so the chart radius shrinks.
+
     lam(y, derivative=True) also returns dlam[:, :, a] = d lam / d y_a:
     zero for a <= r, and for a = r + 1 + t, with u = Q^{-1} DX(z) S[:, t],
     dlam_a = Q^{-1} (dL(z) S[:, t]) Q^{-T} - u lam[r] - lam[:, r] u^T.
-    DX is exact at every level (the Hessian of H at level 1, then the
-    parent's dL[:, column, :]), so the recursion needs no finite
-    difference.
+    At level 1 dL = 0, so the first term is skipped.  DX is exact at every
+    level (the Hessian of H at level 1, then the parent's dL[:, column, :]),
+    so the recursion needs no finite difference.
     """
-    base = chart.basepoint
-    B = chart.slice_basis
-    r = chart.axis
+    base, B, r = chart.basepoint, chart.slice_basis, chart.axis
     S = np.ascontiguousarray(B[:, r + 1 :])
+    Ot = B.T.copy()
+    Ot[r] = c = np.linalg.svd(B)[0][:, -1]  # left null vector of B
     n = base.shape[0]
 
     def lam(y: np.ndarray, derivative: bool = False):
         z = base + S @ np.asarray(y, dtype=float)[r + 1 :]
-        L = parent(z, derivative)
-        if column is None:
-            X = chart.field.evaluate(z, derivative)
-        else:
-            X = (L[0][:, column], L[1][:, column, :]) if derivative else L[:, column]
-        Q = B.copy()
-        Q[:, r] = X[0] if derivative else X
-        Qinv = np.linalg.inv(Q)
         if not derivative:
+            L = parent(z)
+            X = chart.field.evaluate(z) if column is None else L[:, column]
+            Qinv = _slice_inverse(Ot, c, r, X)
             return Qinv @ L @ Qinv.T
-        (_, DX), (L, dL) = X, L
+        if column is None:
+            (X, DX), L, dL = chart.field.evaluate(z, True), parent(z), None
+        else:
+            L, dL = parent(z, True)
+            X, DX = L[:, column], dL[:, column, :]
+        Qinv = _slice_inverse(Ot, c, r, X)
         out = Qinv @ L @ Qinv.T
-        # A[t] is the one nonzero column u = Q^{-1} DX(z) S[:, t] of A_{r+1+t}
-        A = Qinv @ (S.T @ DX.T)[:, :, None]
-        tail = Qinv @ np.moveaxis(dL @ S, -1, 0) @ Qinv.T - A @ out[r : r + 1]
+        # lam^T = -lam: -u lam[r] - lam[:, r] u^T = P - P^T, P_ijt = lam_ri u_tj
+        P = np.multiply.outer(out[r], Qinv @ (DX @ S))
+        tail = P - P.transpose(1, 0, 2)
+        if dL is not None:  # Q^{-1} (dL S) Q^{-T}: a tensordot, then matmul
+            tail += Qinv @ (Qinv @ (dL @ S).reshape(n, -1)).reshape(tail.shape)
         dlam = np.zeros((n, n, n))
-        dlam[:, :, r + 1 :] = np.moveaxis(
-            tail - out[:, r : r + 1] @ A.transpose(0, 2, 1), 0, -1
-        )
+        dlam[:, :, r + 1 :] = tail
         return out, dlam
 
     return lam
 
 
 def _canonical_poisson(dim_s: int) -> Callable:
-    J = structure_matrix(dim_s)
-    dJ = np.zeros((2 * dim_s,) * 3)
-
-    def lam(z: np.ndarray, derivative: bool = False):
-        return (J, dJ) if derivative else J
-
-    return lam
+    J, dJ = structure_matrix(dim_s), np.zeros((2 * dim_s,) * 3)
+    return lambda z, derivative=False: (J, dJ) if derivative else J
 
 
 @dataclass(frozen=True)
@@ -272,9 +288,8 @@ class TowerIndex:
     def solve(self, x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:
         entry = self._solved(x)
         if need_jacobian and entry.jac is None:
-            _, D = self.tower.forward_and_jacobian(entry.coords)
-            entry.jac = D
-            entry.jac_inv = np.linalg.inv(D)
+            _, entry.jac = self.tower.forward_and_jacobian(entry.coords)
+            entry.jac_inv = np.linalg.inv(entry.jac)
         return entry
 
     def _solve_fresh(self, x: np.ndarray) -> _TowerEntry:
@@ -479,9 +494,7 @@ def extend_frame(state: FrameState) -> FrameState:
     transverse to both the frame and the fibre, preferring the best
     conditioned choice.
     """
-    r = state.r
-    k = state.k
-    n = 2 * state.dimension_s
+    r, k, n = state.r, state.k, 2 * state.dimension_s
     if r >= k:
         raise FrameExtensionError(f"frame already has {r} >= k = {k} fields")
     _validate_frame_invariants(state)
@@ -490,8 +503,7 @@ def extend_frame(state: FrameState) -> FrameState:
     # Coefficients of the constant frame directions against the lifted
     # coordinate fields, read from the inverse Poisson matrix at the
     # chart origin: e_i = sum_a c_i^a L e_a with c_i = L^{-1} e_i.
-    lam0 = state.tower.poissons[-1](np.zeros(n))
-    lam0_inv = np.linalg.inv(lam0)
+    lam0_inv = np.linalg.inv(state.tower.poissons[-1](np.zeros(n)))
     head = lam0_inv[:r, :r]
     if np.max(np.abs(head)) > tol.residual:
         raise FrameExtensionError(
@@ -516,8 +528,7 @@ def extend_frame(state: FrameState) -> FrameState:
     frame_vals = np.column_stack([fld(state.basepoint) for fld in state.fields])
     _, D0 = tower.forward_and_jacobian(np.zeros(n))
 
-    best_b = None
-    best_score = -np.inf
+    best_b, best_score = None, -np.inf
     deficits: dict[int, int] = {}
     want = r + 1 + state.kernel_basis.shape[1]
     for b in range(r, n - r):
@@ -817,22 +828,11 @@ class CompleteSolution:
 
     @classmethod
     def from_callables(
-        cls,
-        evaluator,
-        jacobian,
-        dimension_s: int,
-        n_box,
-        lambda_box,
-        label: str = "",
+        cls, evaluator, jacobian, dimension_s: int, n_box, lambda_box, label: str = ""
     ) -> "CompleteSolution":
-        return cls(
-            dimension_s,
-            np.asarray(n_box, dtype=float).reshape(-1, 2),
-            np.asarray(lambda_box, dtype=float).reshape(-1, 2),
-            evaluator,
-            jacobian,
-            label,
-        )
+        n_box = np.asarray(n_box, dtype=float).reshape(-1, 2)
+        lambda_box = np.asarray(lambda_box, dtype=float).reshape(-1, 2)
+        return cls(dimension_s, n_box, lambda_box, evaluator, jacobian, label)
 
 
 _MIN_BOX_EDGE = 1e-3

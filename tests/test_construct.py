@@ -1,10 +1,11 @@
 """Frame extension, first integrals, fibration choice, and the duality."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hjcomplete import construct, flows, symplectic, verify
 from hjcomplete.config import Tolerances
@@ -17,8 +18,11 @@ from hjcomplete.construct import (
     HypothesisError,
     TransversalityError,
     TowerIndex,
+    _canonical_poisson,
     _integral_components,
+    _level_poisson,
     _lifted_x_field,
+    _slice_inverse,
     build_fibration,
     build_first_integrals,
     check_assumptions,
@@ -31,6 +35,7 @@ from hjcomplete.expr import MapField, ScalarField
 from hjcomplete.flows import flow
 from hjcomplete.newton import NewtonError
 from hjcomplete.symplectic import (
+    VectorField,
     apply_structure,
     fd_jacobian,
     hamiltonian_vf,
@@ -354,6 +359,151 @@ def test_each_level_poisson_reads_its_parent_once(oscillator_s3_tower, monkeypat
                 _count_calls(patch, ScalarField, name, counts)
             lam(y, derivative=True)
         assert counts == {"gradient": 1, "hessian": 1}
+
+
+def _defining_poisson(tower, level, y):
+    """lam and dlam of one tower level straight from Q^{-1} L Q^{-T} and the
+    product rule, with linear solves in place of any closed form."""
+    chart, parent = tower.charts[level - 1], tower.poissons[level - 1]
+    column = tower.columns[level - 1]
+    B, r, n = chart.slice_basis, chart.axis, y.shape[0]
+    S = B[:, r + 1 :]
+    z = chart.basepoint + S @ y[r + 1 :]
+    L, dL = parent(z, derivative=True)
+    if column is None:
+        X, DX = chart.field.evaluate(z, derivative=True)
+    else:
+        X, DX = L[:, column], dL[:, column, :]
+    Q = B.copy()
+    Q[:, r] = X
+
+    def sandwich(M):  # Q^{-1} M Q^{-T}
+        return np.linalg.solve(Q, np.linalg.solve(Q, M).T).T
+
+    lam = sandwich(L)
+    dlam = np.zeros((n, n, n))
+    for t in range(S.shape[1]):
+        dQ = np.zeros((n, n))
+        dQ[:, r] = DX @ S[:, t]
+        left = np.linalg.solve(Q, dQ @ lam)  # -d(Q^{-1}) L Q^{-T}
+        right = np.linalg.solve(Q, dQ @ lam.T).T  # -Q^{-1} L d(Q^{-T})
+        dlam[:, :, r + 1 + t] = sandwich(dL @ S[:, t]) - left - right
+    return lam, dlam
+
+
+@pytest.mark.parametrize("pipeline", ["harmonic_s2", "oscillator_s3_tower"])
+def test_level_poisson_matches_the_defining_formula(pipeline, request, monkeypatch):
+    # the Sherman-Morrison closed form agrees with Q^{-1} L Q^{-T} built by
+    # linear solves, and evaluating it factorises nothing
+    fixture = request.getfixturevalue(pipeline)
+    tower = fixture[3].state.tower if pipeline == "harmonic_s2" else fixture
+    n = 2 * tower.dimension_s
+    radius = 0.25 * min(c.domain_radius for c in tower.charts)
+    rng = np.random.default_rng(67)
+    counts = {}
+    for level, lam in enumerate(tower.poissons[1:], start=1):
+        for _ in range(5):
+            y = rng.uniform(-radius, radius, size=n)
+            with monkeypatch.context() as patch:
+                for owner, name in ((np.linalg, "inv"), (np, "moveaxis")):
+                    _count_calls(patch, owner, name, counts)
+                value, dlam = lam(y, derivative=True)
+                plain = lam(y)
+            assert counts == {}
+            assert np.array_equal(value, plain)
+            want, dwant = _defining_poisson(tower, level, y)
+            assert np.max(np.abs(value - want)) < 1e-13
+            assert np.max(np.abs(dlam - dwant)) < 1e-13
+
+
+@settings(max_examples=50)
+@given(
+    s=st.integers(1, 3),
+    axis=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+    x=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+)
+def test_slice_inverse_inverts_an_orthogonal_matrix_with_one_column_replaced(
+    s, axis, seed, x
+):
+    n = 2 * s
+    r = axis % n
+    O, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    c, X = O[:, r], np.array(x[:n])
+    assume(abs(c @ X) >= 0.1)
+    Q = O.copy()
+    Q[:, r] = X
+    Qinv = _slice_inverse(O.T.copy(), c, r, X)
+    assert np.linalg.norm(Q @ Qinv - np.eye(n)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def free_particle_s2_tower():
+    Pi = MapField.from_sources(("q1", "q2"), 2)
+    return extend_frame(init_frame(FREE_S2, Pi, [0.1, -0.2, 1.0, 0.6])).tower
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["harmonic_s2", "free_particle_s2_tower", "oscillator_s3_tower"]
+)
+def test_slice_basis_columns_are_orthonormal_but_the_flowed_one(pipeline, request):
+    # the closed-form level Poisson matrix rests on B^T B = I - e_r e_r^T,
+    # also after the deepest chart's tail is permuted
+    fixture = request.getfixturevalue(pipeline)
+    tower = fixture[3].state.tower if pipeline == "harmonic_s2" else fixture
+    n = 2 * tower.dimension_s
+    head = tower.charts[-1].axis + 1
+    permuted = tower.with_permuted_tail(list(reversed(range(n - head))))
+    for chart in tower.charts + permuted.charts[-1:]:
+        B, r = chart.slice_basis, chart.axis
+        assert not B[:, r].any()
+        e_r = np.eye(n)[r]
+        assert np.max(np.abs(B.T @ B - np.eye(n) + np.outer(e_r, e_r))) <= 1e-14
+
+
+def _slice_level(field_value):
+    """A duck-typed level-1 chart over the slice z_0 = 0 that flows
+    field_value(z), with a zero Jacobian."""
+    B = np.eye(4)
+    B[:, 0] = 0.0
+
+    def evaluate(z, derivative=False):
+        v = field_value(z)
+        return (v, np.zeros((4, 4))) if derivative else v
+
+    field = VectorField(evaluate, 2)
+    chart = SimpleNamespace(basepoint=np.zeros(4), slice_basis=B, axis=0, field=field)
+    return _level_poisson(chart, _canonical_poisson(2), None)
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(np.eye(4)[1], r"0\.0"), (np.full(4, np.nan), "nan")]
+)
+def test_level_poisson_names_a_field_tangent_to_its_slice(value, shown):
+    # w_r = c.X(z) is the one divisor; where it vanishes or is not finite
+    # lam raises a FlowError naming the level and w_r, with no numpy warning
+    lam = _slice_level(lambda z: value)
+    for derivative in (False, True):
+        with pytest.raises(
+            flows.FlowError, match=rf"^level 1 Poisson matrix: .* w_r = {shown}$"
+        ):
+            lam(np.zeros(4), derivative)
+
+
+def test_chart_over_a_level_turning_tangent_shrinks_its_radius():
+    # level 1 flows (1, 1, 0, 0) inside |z| < 0.3 and e_1, tangent to its
+    # slice, outside; a level-2 chart whose probes flow out there fails
+    # those probes and halves its radius instead of crashing the build
+    lam = _slice_level(
+        lambda z: np.array([float(np.linalg.norm(z) < 0.3), 1.0, 0.0, 0.0])
+    )
+
+    def ghat(y, derivative=False):
+        out = lam(y, derivative)
+        return (out[0][:, 2], out[1][:, 2, :]) if derivative else out[:, 2]
+
+    chart = flows.FlowBoxChart.build(np.zeros(4), VectorField(ghat, 2), 1)
+    assert 0.1 < chart.domain_radius < 0.5
 
 
 def test_level_two_chart_flows_one_field(harmonic_s2, monkeypatch):
