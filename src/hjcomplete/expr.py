@@ -392,6 +392,9 @@ def _evaluate(node: Node, env: Sequence[float], s: int, order: int = 0) -> float
 # missing key is a structural zero (None in the helpers below).  Every
 # formula is second order dual arithmetic term by term, in the same order,
 # minus the terms that are structurally zero; order 1 keeps the gradient.
+# Orders 1 and 2 return the gradient and the Hessian; -1 and -2 compute
+# as 1 and 2 and return X = J grad, then X and DX = J Hess: the same
+# floats, the p rows first and the q rows negated in the code.
 # A kernel fails when a binary operation's value or an output is not
 # finite, and on a domain fault (ArithmeticError or ValueError).
 
@@ -450,7 +453,7 @@ class _KernelWriter:
     a constant node, whose derivatives are empty."""
 
     def __init__(self, s: int, order: int):
-        self.s, self.order = s, order
+        self.s, self.order, self.field = s, abs(order), order < 0
         self.lines, self.checked = [], []  # (name, code) and names to check
 
     def let(self, q):
@@ -539,10 +542,15 @@ class _KernelWriter:
     def source(self, root: Node) -> str:
         _, g, h = self.emit(root)
         n = 2 * self.s
-        outputs = [g.get(i, 0.0) for i in range(n)] if self.order == 1 else [
-            h.get((min(i, j), max(i, j)), 0.0) for i in range(n) for j in range(n)
-        ]
+        grad = [g.get(i, 0.0) for i in range(n)] if self.field or self.order == 1 else []
+        pairs = [(min(i, j), max(i, j)) for i in range(n) for j in range(n)]
+        hess = [h.get(k, 0.0) for k in pairs] if self.order == 2 else []
+        outputs = grad + hess
         checks = dict.fromkeys(q for q in self.checked + outputs if isinstance(q, str))
+        if self.field:  # J times each block: its p rows, then its negated q rows
+            outputs = []
+            for rows, cut in ((grad, self.s), (hess, self.s * n)):
+                outputs += rows[cut:] + [_neg(q) for q in rows[:cut]]
         live, body = set(checks), []
         for name, code in reversed(self.lines):
             # drop what no output or check reads, unless it can raise
@@ -561,7 +569,7 @@ _KERNELS: dict[tuple, Callable] = {}  # (ast, dimension_s, order), oldest out pa
 
 
 def _compile(ast: Node, s: int, order: int) -> Callable:
-    """kernel([x0, .., x_{2s-1}]): flat gradient or Hessian, None on failure."""
+    """kernel([x0, .., x_{2s-1}]): the order's flat outputs, None on failure."""
     try:
         code = _KernelWriter(s, order).source(ast)
     except ArithmeticError:  # a constant subtree fails or overflows
@@ -606,8 +614,8 @@ class ScalarField:
     def value(self, x) -> float:
         return float(_evaluate(self.ast, _as_floats(x, self.dim), self.dimension_s))
 
-    # gradient and hessian repeat their few lines: a shared helper would
-    # add a call to the innermost loop of every flow
+    # gradient, hessian and hamiltonian_field repeat their few lines: a
+    # shared helper would add a call to every derivative and flow step
     def gradient(self, x) -> np.ndarray:
         vals = _as_floats(x, 2 * self.dimension_s)
         kernel = self._kernels.get(1) or self._kernel(1)
@@ -626,6 +634,22 @@ class ScalarField:
         except (ArithmeticError, ValueError):
             out = None
         return self._fail(vals, 2) if out is None else np.array(out).reshape(n, n)
+
+    def hamiltonian_field(self, x, derivative: bool = False):
+        """X = J grad f at x; with derivative the pair (X, DX = J Hess f).
+        Either is one kernel call, bitwise J times gradient and hessian."""
+        n, order = 2 * self.dimension_s, -2 if derivative else -1
+        vals = _as_floats(x, n)
+        kernel = self._kernels.get(order) or self._kernel(order)
+        try:
+            out = kernel(vals)
+        except (ArithmeticError, ValueError):
+            out = None
+        if out is None:  # fails as gradient, then hessian, would
+            self.gradient(vals)
+            self._fail(vals, 2)
+        out = np.array(out)
+        return (out[:n], out[n:].reshape(n, n)) if derivative else out
 
     def _fail(self, vals: list, order: int):
         """A kernel check failed: the tree walk names the subexpression."""

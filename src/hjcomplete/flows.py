@@ -2,12 +2,12 @@
 
 The integrator is the embedded Runge-Kutta-Fehlberg 4(5) pair on one
 (6, n) stage array: the fifth order solution propagates, the per step
-error test applies b5 - b4 to the stages, and a rejected step keeps its
-first stage.  When adaptive step control underflows it raises FlowError
-rather than trade the tolerance for a coarser answer; a fixed step
-classical RK4 is available only on request (method "rk4-fixed").  The
-tangent variant integrates the variational equation alongside the state
-and returns the flow differential.
+error test applies b5 - b4 to the stages with no numpy wrapper call, and
+a rejected step keeps its first stage.  When adaptive step control
+underflows it raises FlowError rather than trade the tolerance for a
+coarser answer; a fixed step classical RK4 is available only on request
+(method "rk4-fixed").  The tangent variant integrates the variational
+equation alongside the state and returns the flow differential.
 
 A FlowBoxChart straightens one field X near a base point m:
 
@@ -23,6 +23,7 @@ rest of the package builds on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -74,6 +75,7 @@ _A[4, :4] = (439 / 216, -8, 3680 / 513, -845 / 4104)
 _A[5, :5] = (-8 / 27, 2, -3544 / 2565, 1859 / 4104, -11 / 40)
 _B5 = np.array((16 / 135, 0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
 _E = _B5 - np.array((25 / 216, 0, 1408 / 2565, 2197 / 4104, -1 / 5, 0))
+_ROWS = [_A[i, :i] for i in range(6)]
 
 _MIN_STEP_FRACTION = 1e-14
 
@@ -90,7 +92,7 @@ def _rk4_fixed(rhs, x0: np.ndarray, t_end: float, h: float, max_steps: int) -> n
         k3 = rhs(x + 0.5 * dt * k2)
         k4 = rhs(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FlowError("non finite state in fixed step integration")
     return x
 
@@ -104,10 +106,10 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
 
     sign = 1.0 if t_end > 0.0 else -1.0
     span = abs(t_end)
-    x = x0.copy()
-    K = np.empty((6, x.shape[0]))
+    x, n = x0.copy(), x0.shape[0]
+    K = np.empty((6, n))
     K[0] = rhs(x)
-    if not np.all(np.isfinite(K[0])):
+    if not np.isfinite(K[0]).all():
         raise FlowError("non finite right hand side at start")
     scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(K[0])))
     h = sign * min(span, max(1e-6, 0.01 * scale0))
@@ -116,13 +118,14 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
         if abs(h) > abs(t_end - t):
             h = t_end - t
         for i in range(1, 6):
-            K[i] = rhs(x + h * (_A[i, :i] @ K[:i]))
+            K[i] = rhs(x + h * (_ROWS[i] @ K[:i]))
         x5 = x + h * (_B5 @ K)
         delta = h * (_E @ K)
-        if not (np.all(np.isfinite(x5)) and np.all(np.isfinite(delta))):
+        if not (np.isfinite(x5).all() and np.isfinite(delta).all()):
             raise FlowError("non finite state in adaptive integration")
         sc = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        err = float(np.sqrt(np.mean((delta / sc) ** 2)))
+        q = delta / sc  # err is the root mean square of q, summed as np.mean does
+        err = math.sqrt(float(np.add.reduce(q * q)) / n)
         if err <= 1.0:
             t += h
             x = x5

@@ -186,7 +186,8 @@ class VectorField:
 
     evaluate(x) returns X(x); evaluate(x, derivative=True) returns the
     pair (X(x), DX(x)) from one evaluation, and its value is bitwise the
-    plain one.  Calling the field returns X(x).
+    plain one.  For the Hamiltonian field of a parsed scalar either is one
+    generated kernel call.  Calling the field returns X(x).
     """
 
     evaluate: Callable[..., np.ndarray]
@@ -231,10 +232,12 @@ def hamiltonian_vf(
     """Hamiltonian vector field of a scalar: X_f = J grad f.
 
     In block form X_f = (df/dp, -df/dq), so for example the field of 'q1'
-    is the constant vector with -1 in the p1 slot.  The value costs one
-    gradient; derivative=True adds hamiltonian_jacobian, exact for a
-    parsed scalar and a central difference for a procedural one.
+    is the constant vector with -1 in the p1 slot.  A parsed scalar makes
+    one kernel call per evaluation, the exact DX_f = J Hess f included; a
+    procedural one takes its gradient, and for DX_f central differences.
     """
+    if isinstance(f, ScalarField):
+        return VectorField(f.hamiltonian_field, f.dimension_s)
 
     def evaluate(x: np.ndarray, derivative: bool = False):
         value = apply_structure(f.gradient(x))

@@ -305,11 +305,11 @@ def test_lifted_field_flow_evaluates_the_parent_poisson_once_per_step(
 ):
     # every right-hand side of the level-2 variational flow takes ghat and
     # its Jacobian from one lambda_1(y, derivative=True); lambda_1 costs
-    # one gradient and one Hessian of H, so a second call would show as a
-    # second gradient
-    _, _, _, F, _ = harmonic_s2
+    # one X_H with DX_H, so a second call would show as a second field
+    # evaluation, and none goes through the gradient or Hessian methods
+    H, _, _, F, _ = harmonic_s2
     chart = F.state.tower.charts[1]
-    counts = {"rhs": 0, "gradient": 0, "hessian": 0}
+    counts = {"rhs": 0}
     integrate = flows._integrate
 
     def counted_integrate(rhs, x0, t_end, settings):
@@ -319,22 +319,12 @@ def test_lifted_field_flow_evaluates_the_parent_poisson_once_per_step(
 
         return integrate(counted_rhs, x0, t_end, settings)
 
-    def counted(name):
-        method = getattr(ScalarField, name)
-
-        def call(self, x):
-            counts[name] += 1
-            return method(self, x)
-
-        return call
-
     monkeypatch.setattr(flows, "_integrate", counted_integrate)
-    for name in ("gradient", "hessian"):
-        monkeypatch.setattr(ScalarField, name, counted(name))
+    _count_scalar_calls(monkeypatch, H, counts)
     y = np.array([0.0, 0.1, -0.05, 0.08]) * chart.domain_radius
     flows.flow_with_tangent(chart.field, y, 0.3 * chart.domain_radius)
     assert counts["rhs"] > 0
-    assert counts["gradient"] == counts["hessian"] == counts["rhs"]
+    assert counts == {"rhs": counts["rhs"], "X with DX": counts["rhs"]}
 
 
 def _count_calls(monkeypatch, owner, name, counts):
@@ -347,18 +337,36 @@ def _count_calls(monkeypatch, owner, name, counts):
     monkeypatch.setattr(owner, name, call)
 
 
+def _count_scalar_calls(monkeypatch, H, counts):
+    """Count gradient and hessian calls of every parsed scalar, and the
+    calls of H's kernels by what they return: the gradient, the Hessian,
+    X or X with DX."""
+    for name in ("gradient", "hessian"):
+        _count_calls(monkeypatch, ScalarField, name, counts)
+    names = {1: "gradient kernel", 2: "hessian kernel", -1: "X", -2: "X with DX"}
+    for order, name in names.items():
+        kernel = H._kernels.get(order) or H._kernel(order)
+
+        def call(vals, kernel=kernel, name=name):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(vals)
+
+        monkeypatch.setitem(H._kernels, order, call)
+
+
 def test_each_level_poisson_reads_its_parent_once(oscillator_s3_tower, monkeypatch):
     # lambda_j reads X and DX off its one parent call, so lambda_j with
-    # dlambda costs one gradient and one Hessian of H at every level
+    # dlambda costs one X_H with DX_H at every level, and no gradient or
+    # Hessian call
     tower = oscillator_s3_tower
+    H = tower.charts[0].field.evaluate.__self__  # the parsed H behind X_H
     y = 0.01 * np.ones(6)
     for lam in tower.poissons[1:]:
         counts = {}
         with monkeypatch.context() as patch:
-            for name in ("gradient", "hessian"):
-                _count_calls(patch, ScalarField, name, counts)
+            _count_scalar_calls(patch, H, counts)
             lam(y, derivative=True)
-        assert counts == {"gradient": 1, "hessian": 1}
+        assert counts == {"X with DX": 1}
 
 
 def _defining_poisson(tower, level, y):
@@ -509,7 +517,7 @@ def test_chart_over_a_level_turning_tangent_shrinks_its_radius():
 def test_level_two_chart_flows_one_field(harmonic_s2, monkeypatch):
     # the straightened e_0 is a translation of the slice point: one
     # trajectory per chart map, and the head column of D is e_0 bitwise
-    _, _, _, F, _ = harmonic_s2
+    H, _, _, F, _ = harmonic_s2
     chart = F.state.tower.charts[1]
     r = chart.axis
     assert r == 1
@@ -539,7 +547,7 @@ def test_extend_rejects_coordinates_paired_with_the_frame():
 
 def test_level_two_chart_jacobian_matches_fd_of_forward(harmonic_s2):
     # the variational flow of the lifted field runs on its exact Jacobian
-    _, _, _, F, _ = harmonic_s2
+    H, _, _, F, _ = harmonic_s2
     chart = F.state.tower.charts[1]
     rng = np.random.default_rng(53)
     for _ in range(2):

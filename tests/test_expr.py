@@ -22,7 +22,7 @@ from hjcomplete.expr import (
 )
 from hjcomplete import expr
 from hjcomplete.expr import FUNCTION_NAMES
-from hjcomplete.symplectic import fd_jacobian
+from hjcomplete.symplectic import apply_structure, fd_jacobian, hamiltonian_vf
 
 RNG_CASES = 1000
 
@@ -474,6 +474,45 @@ def test_kernels_match_dual_numbers(case):
         npt.assert_allclose(method(x), ref, rtol=1e-14, atol=0)
 
 
+def _bits(method, x):
+    """The bits of every array method(x) returns, so that -0.0 differs
+    from 0.0, or the message of its EvaluationError."""
+    try:
+        out = method(x)
+    except EvaluationError as exc:
+        return str(exc)
+    return [a.view(np.int64).tolist() for a in (out if isinstance(out, tuple) else (out,))]
+
+
+@given(st.integers(1, 3).flatmap(_kernel_cases))
+def test_field_kernels_are_j_times_the_derivative_kernels_bitwise(case):
+    """The field kernels return J grad and J Hess bitwise, and fail where
+    gradient or hessian fails, with its message."""
+    s, tree, x = case
+    f = ScalarField(serialize(tree), tree, s)
+    X = hamiltonian_vf(f)
+    plain = _bits(X.evaluate, x)
+    both = _bits(lambda z: X.evaluate(z, True), x)
+    assert plain == _bits(lambda z: apply_structure(f.gradient(z)), x)
+    assert both == _bits(
+        lambda z: (apply_structure(f.gradient(z)), apply_structure(f.hessian(z))), x
+    )
+    if not isinstance(both, str):
+        assert both[:1] == plain
+
+
+def test_field_with_jacobian_fails_as_the_first_failing_derivative():
+    # the gradient already overflows: X with DX fails as gradient does
+    X = hamiltonian_vf(ScalarField.parse("exp(2*q1)/2", 1))
+    with pytest.raises(EvaluationError, match="non finite gradient"):
+        X.evaluate([354.8, 0.0], True)
+    # only the Hessian is not finite: X stands, X with DX fails as hessian does
+    Y = hamiltonian_vf(ScalarField.parse("sqrt(q1)", 1))
+    npt.assert_array_equal(Y([1e-310, 0.0]), [0.0, -0.5 / math.sqrt(1e-310)])
+    with pytest.raises(EvaluationError, match="non finite hessian"):
+        Y.evaluate([1e-310, 0.0], True)
+
+
 def test_sqrt_derivative_at_zero_names_the_subexpression():
     f = ScalarField.parse("sqrt(q1) + p1", 1)
     x = np.array([0.0, 1.0])
@@ -511,6 +550,9 @@ def test_kernels_run_without_builtins():
     f = ScalarField.parse("sin(q1)*exp(p1) + sqrt(1 + q1^2)/log(2 + p1^2)", 1)
     f.gradient([0.3, 0.4])
     f.hessian([0.3, 0.4])
+    f.hamiltonian_field([0.3, 0.4])
+    f.hamiltonian_field([0.3, 0.4], True)
+    assert sorted(f._kernels) == [-2, -1, 1, 2]
     allowed = {"__builtins__", "isfinite", *FUNCTION_NAMES}
     for kernel in f._kernels.values():
         assert set(kernel.__globals__) == allowed
@@ -518,6 +560,30 @@ def test_kernels_run_without_builtins():
         assert kernel.__globals__["isfinite"] is math.isfinite
         for name in FUNCTION_NAMES:
             assert kernel.__globals__[name] is getattr(math, name)
+
+
+def test_field_kernels_compile_once_per_tree_and_dimension(monkeypatch):
+    compiled = []
+    real = expr._compile
+
+    def counting(ast, s, order):
+        compiled.append((s, order))
+        return real(ast, s, order)
+
+    monkeypatch.setattr(expr, "_KERNELS", {})
+    monkeypatch.setattr(expr, "_compile", counting)
+    x = np.array([0.3, 0.4])
+    for _ in range(2):
+        X = hamiltonian_vf(ScalarField.parse("q1^2*p1/2", 1))
+        for _ in range(3):
+            npt.assert_array_equal(X.evaluate(x), [0.045, -0.12])
+            X.evaluate(x, True)
+    assert compiled == [(1, -1), (1, -2)]
+    Y = hamiltonian_vf(ScalarField.parse("q1^2*p1/2", 2))
+    npt.assert_array_equal(Y([0.3, 0.0, 0.4, 0.0]), [0.045, 0.0, -0.12, -0.0])
+    # the derivative kernels are their own entries in the memo
+    ScalarField.parse("q1^2*p1/2", 1).gradient(x)
+    assert compiled == [(1, -1), (1, -2), (2, -1), (1, 1)]
 
 
 def test_kernels_compile_once_per_order_and_dimension(monkeypatch):

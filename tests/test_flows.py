@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hjcomplete import flows
+from hjcomplete import flows, symplectic
 from hjcomplete.config import Tolerances
 from hjcomplete.expr import ScalarField
 from hjcomplete.flows import (
@@ -15,6 +15,7 @@ from hjcomplete.flows import (
     flow,
     flow_with_tangent,
 )
+from hjcomplete.scenarios import REGISTRY
 from hjcomplete.symplectic import VectorField, hamiltonian_vf
 
 TOL = Tolerances()
@@ -160,6 +161,94 @@ def test_non_finite_stage_raises():
     )
     with pytest.raises(FlowError, match="non finite state in adaptive integration"):
         flow(field, np.array([1.0, 0.0]), 1.0)
+
+
+def _numpy_reduction_integrate(rhs, x0, t_end, settings):
+    """The adaptive loop with numpy's reductions: np.all of np.isfinite for
+    the finiteness test, np.sqrt of np.mean for the error norm and the
+    stage rows sliced from the tableau at every stage."""
+    A, B5, E = flows._A, flows._B5, flows._E
+    sign = 1.0 if t_end > 0.0 else -1.0
+    span = abs(t_end)
+    x = x0.copy()
+    K = np.empty((6, x.shape[0]))
+    K[0] = rhs(x)
+    scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(K[0])))
+    h = sign * min(span, max(1e-6, 0.01 * scale0))
+    t = 0.0
+    for _ in range(settings.max_steps):
+        if abs(h) > abs(t_end - t):
+            h = t_end - t
+        for i in range(1, 6):
+            K[i] = rhs(x + h * (A[i, :i] @ K[:i]))
+        x5 = x + h * (B5 @ K)
+        delta = h * (E @ K)
+        assert np.all(np.isfinite(x5)) and np.all(np.isfinite(delta))
+        sc = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5))
+        err = float(np.sqrt(np.mean((delta / sc) ** 2)))
+        if err <= 1.0:
+            t += h
+            x = x5
+            if abs(t - t_end) <= flows._MIN_STEP_FRACTION * span:
+                return x
+            K[0] = rhs(x)
+        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+    raise AssertionError("step budget exceeded")
+
+
+def _linear_s2_field():
+    M = np.random.default_rng(4).normal(size=(4, 4))
+    return VectorField(lambda x, derivative=False: (M @ x, M) if derivative else M @ x, 2)
+
+
+def _harmonic_s2_field():
+    H = ScalarField.parse(REGISTRY["harmonic_s2"]["hamiltonian"], 2)
+    return hamiltonian_vf(H, TOL)
+
+
+@pytest.mark.parametrize("field", [_linear_s2_field, _harmonic_s2_field])
+@pytest.mark.parametrize("tangent", [False, True], ids=["n", "n + n^2"])
+@pytest.mark.parametrize("t", [0.37, -1.3, 4.0])
+def test_adaptive_step_matches_numpy_reductions_bitwise(field, tangent, t, monkeypatch):
+    """Every trajectory of flow and flow_with_tangent ends on the bits of
+    the loop written with numpy's reductions."""
+    integrate, pairs = flows._integrate, []
+
+    def both(rhs, x0, t_end, settings):
+        want = _numpy_reduction_integrate(rhs, x0, t_end, settings)
+        pairs.append((want, integrate(rhs, x0, t_end, settings)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(flows, "_integrate", both)
+    x0 = np.array([0.3, 0.1, 1.0, 0.7])
+    (flow_with_tangent if tangent else flow)(field(), x0, t)
+    assert len(pairs) == 1 and pairs[0][1].shape == (4 + 16 * tangent,)
+    want, got = pairs[0]
+    assert np.array_equal(want.view(np.int64), got.view(np.int64))
+
+
+def test_adaptive_step_calls_no_numpy_wrapper_or_apply_structure(monkeypatch):
+    """An accepted step makes no np.all or np.mean call, and a parsed
+    Hamiltonian field no apply_structure call."""
+    counts = {}
+
+    def spy(owner, name):
+        method = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    X = _harmonic_s2_field()
+    x0 = np.array([0.3, 0.1, 1.0, 0.7])
+    for owner, name in ((np, "all"), (np, "mean"), (symplectic, "apply_structure")):
+        spy(owner, name)
+    spy(flows, "_integrate")
+    flow(X, x0, 2.0)
+    flow_with_tangent(X, x0, 2.0)
+    assert counts == {"_integrate": 2}
 
 
 def test_unknown_method_rejected():
