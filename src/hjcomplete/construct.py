@@ -7,10 +7,10 @@ chart coordinates y_{k+1}..y_{2s} restrict to a submersion F whose level
 sets are tangent to the flow.  Inverting (fibration, F) yields a complete
 solution: S(n, lam) = Psi(h, lam), with Psi the chart tower and h the
 head coordinates solving Pi(Psi(h, lam)) = n by one query-seeded Newton
-solve.  Every inversion here (the tower for F, (Pi, F) for S, and S for
-its integrals) starts from a point that depends on its query alone and is
-memoized on the query's exact bytes (_memo), so each map is a pure
-function and the memo only saves time.
+solve; F flows its query back to each chart's slice.  Every inversion
+here (the tower for F, (Pi, F) for S, and S for its integrals) starts
+from its query alone and is memoized on the query's exact bytes (_memo),
+so each map is a pure function and the memo only saves time.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
 flows the lifted field lam_{j-1}[:, b] in level j-1 coordinates, where
@@ -122,8 +122,8 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int])
     gives both.
 
     Q is never factorised: B's nonzero columns are orthonormal, so with c
-    their unit normal, O = B + c e_r^T is orthogonal (both are fixed per
-    chart) and Q^{-1} is a Sherman-Morrison correction of O^T by rank one
+    their unit normal (the chart's slice_normal), O = B + c e_r^T is
+    orthogonal and Q^{-1} is a Sherman-Morrison correction of O^T by rank one
     (_slice_inverse).  Its divisor w_r = c.X(z) is the transversality of X
     to the slice; where it vanishes lam raises FlowError, which a chart
     probe reads as a failure, so the chart radius shrinks.
@@ -138,7 +138,7 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int])
     base, B, r = chart.basepoint, chart.slice_basis, chart.axis
     S = np.ascontiguousarray(B[:, r + 1 :])
     Ot = B.T.copy()
-    Ot[r] = c = np.linalg.svd(B)[0][:, -1]  # left null vector of B
+    Ot[r] = c = chart.slice_normal
     n = base.shape[0]
 
     def lam(y: np.ndarray, derivative: bool = False):
@@ -212,33 +212,38 @@ class ChartTower:
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         eta = np.asarray(y, dtype=float)
-        for chart in reversed(self.charts):
-            eta = chart.forward(eta)
+        for j in reversed(range(len(self.charts))):
+            eta = _at_level(j, "forward", self.charts[j].forward, eta)
         return eta
 
     def forward_and_jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         eta = np.asarray(y, dtype=float)
         D = None
-        for chart in reversed(self.charts):
-            eta, Dj = chart.forward_and_jacobian(eta)
+        for j in reversed(range(len(self.charts))):
+            eta, Dj = _at_level(j, "forward", self.charts[j].forward_and_jacobian, eta)
             D = Dj if D is None else Dj @ D
         return eta, D
 
     def solve_stack(
         self, x: np.ndarray, guesses: Optional[Sequence[np.ndarray]] = None
     ) -> list[np.ndarray]:
-        """Coordinates of x at every level, outermost first.  A chart's
-        failure is re-raised with its level (charts[0] is level 1)."""
+        """Coordinates of x at every level, outermost first."""
         eta = np.asarray(x, dtype=float)
         stack = []
         for j, chart in enumerate(self.charts):
             y0 = None if guesses is None else guesses[j]
-            try:
-                eta = chart.inverse(eta, y0=y0)
-            except (ChartError, FlowError) as exc:
-                raise type(exc)(f"level {j + 1} chart inversion: {exc}") from exc
+            eta = _at_level(j, "inversion", chart.inverse, eta, y0)
             stack.append(eta)
         return stack
+
+
+def _at_level(j: int, stage: str, call: Callable, *args):
+    """call(*args), a chart map of charts[j]; its failure is re-raised with
+    the same type, prefixed with the level (charts[0] is level 1)."""
+    try:
+        return call(*args)
+    except (ChartError, FlowError) as exc:
+        raise type(exc)(f"level {j + 1} chart {stage}: {exc}") from exc
 
 
 _MEMO_LIMIT = 50_000
@@ -272,13 +277,13 @@ class _TowerEntry:
 
 
 class TowerIndex:
-    """Query-seeded, memoized inversion of a chart tower.
+    """Memoized inversion of a chart tower.
 
-    Every chart's Newton solve starts from its own origin, so the
+    Every chart inverts by flowing its query back to its slice, so the
     coordinates of x depend on x alone.  Solutions are memoized on the
     exact bytes of x, so the value and gradient of all integral components
-    at one probe cost a single solve.  The chart's validated radius
-    guarantees convergence for in-domain points.
+    at one probe cost a single solve.  Each chart was validated over the
+    box of its domain radius, where its inversion converges.
     """
 
     def __init__(self, tower: ChartTower):
@@ -520,7 +525,7 @@ def extend_frame(state: FrameState) -> FrameState:
     chosen = sorted(piv[:r])
     leading = [a for a in range(n - r) if a not in set(chosen)]
     perm = leading + chosen
-    if np.linalg.matrix_rank(coeff[:, chosen], tol=tol.rank) < r:
+    if numerical_rank(coeff[:, chosen], tol.rank) < r:
         raise FrameExtensionError("coefficient matrix has no invertible trailing block")
     tower = state.tower.with_permuted_tail(perm)
 

@@ -18,7 +18,8 @@ are the unit vectors e_0..e_{r-1}, directions along which X is already
 invariant (an earlier chart straightened them), so they enter as plain
 translations; its last columns span a transversal to them and to X(m).
 In chart coordinates X becomes the shift along y_r, which is what the
-rest of the package builds on.
+rest of the package builds on.  A point inverts by flowing back along X
+to the slice hyperplane: Newton in the one slice time (event location).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .newton import NewtonError, newton_solve
 from .symplectic import VectorField, numerical_rank
 
 __all__ = [
@@ -192,24 +192,23 @@ class FlowBoxChart:
 
     basepoint and field live in the ambient coordinates; axis is the
     flowed coordinate r, and slice_basis the n x n matrix B of
-    psi(y) = Phi^{y_r}_X(m + B y), whose column r is zero.  domain_radius
-    is the validated radius of the coordinate box.
+    psi(y) = Phi^{y_r}_X(m + B y), whose column r is zero; slice_normal is
+    the unit normal c of the slice {m + B y}.  domain_radius is the
+    validated half-edge of the coordinate box.
     """
 
     basepoint: np.ndarray
     field: VectorField
     axis: int
     slice_basis: np.ndarray
+    slice_normal: np.ndarray
     domain_radius: float
     settings: IntegratorSettings = dc_field(default_factory=IntegratorSettings)
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     PROBE_COUNT = 20
     MIN_RADIUS = 1e-3
-
-    @property
-    def dim(self) -> int:
-        return self.basepoint.shape[0]
+    SLICE_TIME_REACH = 2.0  # bound on an inversion's |slice time|, in radii
 
     @classmethod
     def build(
@@ -223,8 +222,9 @@ class FlowBoxChart:
     ) -> "FlowBoxChart":
         """Build and validate a chart that flows field along coordinate
         axis: B holds e_0..e_{axis-1}, a zero column, and the SVD complement
-        of [e_0..e_{axis-1}, X(m)]; the radius is shrunk until Newton
-        inversion succeeds at PROBE_COUNT boundary points.
+        of [e_0..e_{axis-1}, X(m)]; the radius is halved until PROBE_COUNT
+        points on its sphere and the box corners round-trip (all 2^n, or a
+        seeded PROBE_COUNT of them for n > 4): callers sample the box.
 
         field must be invariant under translation along e_0..e_{axis-1},
         as a lifted field is in the coordinates of the chart below it.
@@ -242,20 +242,25 @@ class FlowBoxChart:
         slice_basis = np.zeros((n, n))
         slice_basis[:, :axis] = F[:, :axis]
         slice_basis[:, axis + 1 :] = _canonicalize_columns(U[:, axis + 1 :])
+        c = np.zeros(n)  # the part of X(m) normal to e_0..e_{axis-1}
+        c[axis:] = F[axis:, axis] / np.linalg.norm(F[axis:, axis])
 
         rng = np.random.default_rng(0)
         dirs = rng.normal(size=(cls.PROBE_COUNT, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        corners = 1.0 - 2.0 * (np.arange(2**n)[:, None] >> np.arange(n) & 1)
+        if n > 4:
+            corners = corners[rng.choice(2**n, cls.PROBE_COUNT, replace=False)]
         radius = float(initial_radius)
         while radius >= cls.MIN_RADIUS:
             chart = cls(
-                basepoint, field, axis, slice_basis, radius, settings, tolerances
+                basepoint, field, axis, slice_basis, c, radius, settings, tolerances
             )
-            if chart._probe_domain(dirs * radius):
+            if chart._probe_domain(np.vstack([dirs, corners]) * radius):
                 return chart
             radius *= 0.5
         raise ChartError(
-            f"domain radius shrank below {cls.MIN_RADIUS} without Newton convergence"
+            f"domain radius shrank below {cls.MIN_RADIUS}: a probe did not round-trip"
         )
 
     def _probe_domain(self, probes: np.ndarray) -> bool:
@@ -263,7 +268,7 @@ class FlowBoxChart:
             try:
                 x = self.forward(y)
                 y_back = self.inverse(x)
-            except (FlowError, ChartError, NewtonError):
+            except (FlowError, ChartError):
                 return False
             if np.linalg.norm(y_back - y) > 1e-6:
                 return False
@@ -272,7 +277,7 @@ class FlowBoxChart:
     def forward(self, y) -> np.ndarray:
         """psi(y): one flow of the field from the slice point m + B y."""
         y = np.asarray(y, dtype=float)
-        if y.shape[0] != self.dim:
+        if y.shape != self.basepoint.shape:
             raise ValueError("chart coordinates have the ambient dimension")
         x = self.basepoint + self.slice_basis @ y
         t = float(y[self.axis])
@@ -298,25 +303,28 @@ class FlowBoxChart:
         return x, D
 
     def inverse(self, p, y0=None) -> np.ndarray:
-        """Newton inversion of the chart map, query-seeded from the chart
-        origin unless a start y0 is given."""
-        p = np.asarray(p, dtype=float)
-        start = np.zeros(self.dim) if y0 is None else np.asarray(y0, dtype=float)
+        """Chart coordinates of p, a pure function of p; y0 is ignored.
 
-        def residual(y: np.ndarray) -> np.ndarray:
-            return self.forward(y) - p
-
-        def jacobian(y: np.ndarray) -> np.ndarray:
-            return self.forward_and_jacobian(y)[1]
-
-        try:
-            return newton_solve(
-                residual,
-                jacobian,
-                start,
-                tol=self.tolerances.newton,
-                max_iter=50,
-                chord_after=2,
-            )
-        except NewtonError as exc:
-            raise ChartError(f"point outside chart domain: {exc}") from exc
+        Newton in the slice time t flows p back along X to the slice:
+        g = c.(x - m) has derivative w = c.X(x) along X, so each step flows
+        x back by g / w, unless |t| would pass SLICE_TIME_REACH radii.
+        Once |g| meets the Newton tolerance, y = B^T (x - m) with y_r = t.
+        """
+        x, m, c = np.asarray(p, dtype=float), self.basepoint, self.slice_normal
+        t, reach = 0.0, self.SLICE_TIME_REACH * self.domain_radius
+        for _ in range(50):
+            g = float(c @ (x - m))
+            if abs(g) <= self.tolerances.newton:
+                y = self.slice_basis.T @ (x - m)
+                y[self.axis] = t
+                return y
+            w = float(c @ self.field.evaluate(x))
+            step = g / w if w else math.inf
+            if not abs(t + step) <= reach:
+                raise ChartError(
+                    f"point outside chart domain: slice time {t + step:.6e} "
+                    f"passes {self.SLICE_TIME_REACH:g} domain radii (c.X = {w:.3e})"
+                )
+            x = _integrate(self.field.evaluate, x, -step, self.settings)
+            t += step
+        raise ChartError(f"point outside chart domain: |g| {abs(g):.3e} after 50 steps")

@@ -1,8 +1,9 @@
-"""Damped Newton iteration shared by chart inversion and duality solves."""
+"""Damped Newton iteration for the duality solves: the head of S(n, lam),
+the stacked map (Pi, F), and the integrals read off a complete solution."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,25 +25,15 @@ def newton_solve(
     x0: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 50,
-    chord_after: Optional[int] = None,
 ) -> np.ndarray:
-    """Solve residual(x) = 0 by full Newton steps with Armijo backtracking.
-
-    chord_after, when given, freezes the Jacobian after that many fresh
-    evaluations and falls back to one refresh if a frozen step stalls.
-    """
+    """Solve residual(x) = 0 by full Newton steps with Armijo backtracking."""
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     nr = float(np.linalg.norm(r))
-    J = None
-    fresh_evals = 0
     for it in range(max_iter):
         if nr <= tol:
             return x
-        refresh = chord_after is None or fresh_evals < chord_after or J is None
-        if refresh:
-            J = np.asarray(jacobian(x), dtype=float)
-            fresh_evals += 1
+        J = np.asarray(jacobian(x), dtype=float)
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -63,11 +54,6 @@ def newton_solve(
             raise NewtonError("non finite residuals along the step", nr, it)
         xn, rn, nn = best
         if nn >= nr:
-            if chord_after is not None and not refresh:
-                # stalled on a frozen Jacobian, force a refresh and retry
-                J = None
-                fresh_evals = 0
-                continue
             if nn <= tol:
                 return xn
             raise NewtonError("iteration stalled", nn, it)

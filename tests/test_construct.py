@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from hjcomplete import construct, flows, symplectic, verify
+from hjcomplete import construct, flows, newton, scenarios, symplectic, verify
 from hjcomplete.config import Tolerances
 from hjcomplete.construct import (
     CompleteSolution,
@@ -480,7 +480,10 @@ def _slice_level(field_value):
         return (v, np.zeros((4, 4))) if derivative else v
 
     field = VectorField(evaluate, 2)
-    chart = SimpleNamespace(basepoint=np.zeros(4), slice_basis=B, axis=0, field=field)
+    chart = SimpleNamespace(
+        basepoint=np.zeros(4), slice_basis=B, slice_normal=np.eye(4)[0], axis=0,
+        field=field,
+    )
     return _level_poisson(chart, _canonical_poisson(2), None)
 
 
@@ -545,6 +548,18 @@ def test_extend_rejects_coordinates_paired_with_the_frame():
         extend_frame(dataclasses.replace(state, tower=bad))
 
 
+def test_frame_rank_tests_use_the_relative_cutoff(monkeypatch):
+    # every rank decision goes through numerical_rank's relative cutoff;
+    # np.linalg.matrix_rank would read Tolerances.rank as absolute
+    counts = {}
+    _count_calls(monkeypatch, np.linalg, "matrix_rank", counts)
+    assert extend_frame(_free_s3_state()).r == 2
+    H = ScalarField.parse("(q1^2 + q2^2 + p1^2 + p2^2)/2", 2)
+    Pi = MapField.from_sources(("q1", "q2"), 2)
+    build_first_integrals(H, Pi, [0.3, 0.1, 1.0, 0.7], probes=3, seed=0)
+    assert counts == {}
+
+
 def test_level_two_chart_jacobian_matches_fd_of_forward(harmonic_s2):
     # the variational flow of the lifted field runs on its exact Jacobian
     H, _, _, F, _ = harmonic_s2
@@ -590,6 +605,53 @@ def test_chart_round_trip_property(harmonic_s2, level, v):
     v = np.array(v)
     y = chart.domain_radius * v / max(1.0, float(np.linalg.norm(v)))
     assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
+
+
+def test_chart_round_trips_at_box_corners():
+    # callers sample the whole box of half-edge domain_radius, not only
+    # the ball, so every corner of each chart box must invert
+    cfg = scenarios.parse_config({"scenario": "anisotropic_s2", "probes": 6})
+    F = build_first_integrals(
+        cfg.hamiltonian(), cfg.fibration(), cfg.base_point, cfg.tolerances,
+        cfg.integrator_settings(), cfg.domain_radius, probes=cfg.probes,
+        seed=cfg.seed,
+    )
+    corners = 1.0 - 2.0 * (np.arange(16)[:, None] >> np.arange(4) & 1)
+    for chart in F.state.tower.charts:
+        for y in corners * chart.domain_radius:
+            assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
+
+
+def test_integrals_run_no_newton_solve(harmonic_s2, monkeypatch):
+    # each chart inverts by flowing its query back to its slice
+    _, _, _, F, _ = harmonic_s2
+    assert not any(
+        getattr(v, "__module__", None) == "hjcomplete.newton"
+        for v in vars(flows).values()
+    )
+    counts = {}
+    for owner in (newton, construct):
+        _count_calls(monkeypatch, owner, "newton_solve", counts)
+    integrals = MapField(_integral_components(TowerIndex(F.state.tower), F.k, 2), 2)
+    for x in F.sample_points(4, seed=71):
+        integrals.value(x)
+        integrals.jacobian(x)
+    assert counts == {}
+
+
+@pytest.mark.parametrize("method", ["forward", "forward_and_jacobian"])
+def test_tower_forward_failure_names_its_level(harmonic_s2, monkeypatch, method):
+    # level 2 flows first; its step underflow keeps its type and text
+    # behind the level prefix, with the chart's error chained as the cause
+    _, _, _, F, _ = harmonic_s2
+    tower = F.state.tower
+    y = np.array([0.0, 0.2, 0.0, 0.0]) * tower.charts[1].domain_radius
+    monkeypatch.setattr(flows, "_MIN_STEP_FRACTION", 0.5)
+    with pytest.raises(
+        flows.FlowError, match="^level 2 chart forward: adaptive step underflow"
+    ) as info:
+        getattr(tower, method)(y)
+    assert type(info.value.__cause__) is flows.FlowError
 
 
 # ---------------------------------------------------------------------------
@@ -861,3 +923,23 @@ def test_duality_refuses_unreachable_boxes():
     ) as info:
         solution_from_integrals(Pi, F, [0.0, 1.5698])
     assert isinstance(info.value.__cause__, NewtonError)
+
+
+def test_random_cubic_hamiltonian_inverts_at_every_probe():
+    # a case of the random sweep over polynomial H: the chord Newton chart
+    # inverse stalled here at residual 1.5e-10 against 1e-10 after 50
+    # iterations, so build_first_integrals raised a level 1 ChartError
+    H = ScalarField.parse(
+        "-0.805*p2*p1 + -1.387*p2^2*p2 + -0.209*p1*p2^2 + 0.822*q2*q2^2"
+        " + p1^2/2",
+        2,
+    )
+    Pi = MapField.from_sources(("q1", "q2"), 2)
+    m = np.array([
+        -0.25745701052428704, -0.8180749365681097,
+        0.23866603698040234, -0.09021478984116493,
+    ])
+    F = build_first_integrals(H, Pi, m, probes=6, seed=0)
+    solution = solution_from_integrals(Pi, F, m, seed=0)
+    assert hje_residual(solution, H, Pi, probes=6, seed=0).passed
+    assert submersion_checks(F, F.sample_points(6, seed=0), fibration=Pi).passed

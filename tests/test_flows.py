@@ -304,6 +304,25 @@ def test_straightening_pushes_frame_to_unit_vector():
         assert np.max(np.abs(yt - (y0 + np.array([t, 0.0])))) < 1e-8
 
 
+def test_chart_inverse_refuses_slice_times_past_its_reach(monkeypatch):
+    # p lies 2.5 radii along the flow from the slice; the inversion raises
+    # ChartError and never integrates to a slice time past 2 radii
+    chart = _harmonic_chart()
+    reach = FlowBoxChart.SLICE_TIME_REACH * chart.domain_radius
+    p = chart.forward(np.array([2.5 * chart.domain_radius, 0.1]))
+    integrate = flows._integrate
+    times = [0.0]
+
+    def traced(rhs, x0, t_end, settings):
+        times.append(times[-1] - t_end)  # the inverse flows back by -t_end
+        assert abs(times[-1]) <= reach
+        return integrate(rhs, x0, t_end, settings)
+
+    monkeypatch.setattr(flows, "_integrate", traced)
+    with pytest.raises(ChartError, match="passes 2 domain radii"):
+        chart.inverse(p)
+
+
 def test_chart_slice_deterministic():
     a = _harmonic_chart()
     b = _harmonic_chart()

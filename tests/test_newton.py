@@ -65,22 +65,6 @@ def test_damping_handles_overshoot():
     assert root[0] == pytest.approx(2.0, abs=1e-10)
 
 
-def test_chord_mode_converges():
-    calls = {"jac": 0}
-
-    def res(x):
-        return np.array([np.exp(x[0]) - 1.5])
-
-    def jac(x):
-        calls["jac"] += 1
-        return np.array([[np.exp(x[0])]])
-
-    root = newton_solve(res, jac, np.array([0.0]), chord_after=1, max_iter=60)
-    assert root[0] == pytest.approx(np.log(1.5), abs=1e-10)
-    # the frozen Jacobian was reused; a refresh may happen but not every step
-    assert calls["jac"] < 10
-
-
 def test_tolerance_is_honoured():
     loose = newton_solve(
         lambda x: np.array([x[0] ** 2 - 2.0]),
@@ -102,13 +86,12 @@ def test_start_at_solution():
 
 
 def _systems(n):
-    """(A, b, eps, chord_after): A x + eps sin(x) = b with A = I + E / n."""
+    """(A, b, eps): A x + eps sin(x) = b with A = I + E / n."""
     entries = st.floats(-0.5, 0.5)
     return st.tuples(
         arrays(float, (n, n), elements=entries).map(lambda E: np.eye(n) + E / n),
         arrays(float, n, elements=st.floats(-2.0, 2.0)),
         st.sampled_from([0.0, 0.1, 0.3]),
-        st.sampled_from([None, 2]),
     )
 
 
@@ -117,7 +100,7 @@ def _systems(n):
 def test_newton_contract_property(case):
     # the contract: a returned root meets tol, anything else is a NewtonError;
     # these systems are well conditioned, so the linear ones always converge
-    A, b, eps, chord_after = case
+    A, b, eps = case
 
     def residual(x):
         return A @ x + eps * np.sin(x) - b
@@ -126,9 +109,7 @@ def test_newton_contract_property(case):
         return A + eps * np.diag(np.cos(x))
 
     try:
-        x = newton_solve(
-            residual, jacobian, np.zeros(len(b)), tol=1e-10, chord_after=chord_after
-        )
+        x = newton_solve(residual, jacobian, np.zeros(len(b)), tol=1e-10)
     except NewtonError:
         assert eps > 0.0
         return
