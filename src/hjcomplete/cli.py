@@ -302,19 +302,14 @@ def cmd_characteristic(cfg: RunConfig, outdir: str, fmt: str) -> dict:
     q_grid = inset_grid(solution.n_box, cfg.lambda_grid)
 
     header = _names("lambda", solution.l) + _names("q", cfg.dimension_s) + ["W", "E"]
-    rows = []
-    reports = []
+    rows, reports = [], []
     for W in family:
-        reports.append(
-            verify_characteristic(W, hamiltonian, cfg.probes, cfg.seed)
-        )
+        reports.append(verify_characteristic(W, hamiltonian, cfg.probes, cfg.seed))
         for q in q_grid:
             value = W.value(q)
             energy = hamiltonian.value(np.concatenate([q, W.section(q)]))
             rows.append(list(W.lam) + list(q) + [value, energy])
-    files = [
-        _write_table(os.path.join(outdir, "characteristic"), header, rows, fmt)
-    ]
+    files = [_write_table(os.path.join(outdir, "characteristic"), header, rows, fmt)]
 
     return {
         "fibration": fib_meta,

@@ -874,11 +874,15 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
             x, D = chart(h)
             return fibration.jacobian(x) @ D[:, :k]
 
+        def residual(h: np.ndarray) -> np.ndarray:
+            try:
+                return fibration.value(chart(h)[0]) - n
+            except FlowError:  # Newton halves a trial step the chart cannot reach
+                return np.full(k, np.nan)
+
         h0 = np.linalg.solve(AB[:, :k], n - pi_m - AB[:, k:] @ lam)
-        h = newton_solve(
-            lambda h: fibration.value(chart(h)[0]) - n, jacobian, h0,
-            tol=tol.newton, max_iter=50,
-        )
+        chart(h0)  # but an unreachable start raises
+        h = newton_solve(residual, jacobian, h0, tol=tol.newton, max_iter=50)
         x, D = chart(h)
         M = np.vstack([fibration.jacobian(x) @ D, np.eye(dim)[k:]])
         return x, D @ np.linalg.inv(M)

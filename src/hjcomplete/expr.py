@@ -308,10 +308,10 @@ _FUNC_TABLE: dict[str, Callable[[float], float]] = {
 _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _has_var(node: Node) -> bool:
+def _has_var(node: Node, kinds: str = "qp") -> bool:
     if isinstance(node, (Num, Var)):
-        return isinstance(node, Var)
-    return any(_has_var(c) for c in vars(node).values() if not isinstance(c, str))
+        return isinstance(node, Var) and node.kind in kinds
+    return any(_has_var(c, kinds) for c in vars(node).values() if not isinstance(c, str))
 
 
 def _integer_exponent(node: Node) -> int | None:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hjcomplete import construct, flows, newton, scenarios, symplectic, verify
-from hjcomplete.config import Tolerances
+from hjcomplete.config import DEFAULT_TOLERANCES, Tolerances
 from hjcomplete.construct import (
     CompleteSolution,
     DomainBoxError,
@@ -841,6 +841,37 @@ def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
     monkeypatch.setattr(construct, "newton_solve", counted_newton)
     assert isotropy_residual(solution, probes=6, seed=29).passed
     assert solves == []
+
+
+def test_head_solve_halves_a_step_the_chart_cannot_flow_to(harmonic_s2, monkeypatch):
+    # S's head Newton: a trial point whose chart forward raises FlowError is
+    # a failed trial, so the step halves; a start the chart cannot reach
+    # still raises
+    _, Pi, m, F, solution = harmonic_s2
+    solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES, 0)[0]
+    n, lam = (c[0] for c in solution.sample_domain(1, seed=5, margin=0.8))
+    expected = solve(n, lam)[0]
+    forward = construct.ChartTower.forward_and_jacobian
+    heads = []
+
+    def failing_full_step(self, y):
+        heads.append(tuple(y[: F.k]))
+        if len(heads) == 2:  # h0, then the first full Newton step
+            raise flows.FlowError("adaptive step underflow at t = -990.9")
+        return forward(self, y)
+
+    monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_full_step)
+    x = solve(n, lam)[0]
+    assert len(set(heads)) == len(heads) > 2
+    assert np.max(np.abs(Pi.value(x) - n)) < 1e-8
+    assert np.max(np.abs(x - expected)) < 1e-8
+
+    def failing_start(self, y):
+        raise flows.FlowError("adaptive step underflow")
+
+    monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_start)
+    with pytest.raises(flows.FlowError, match="adaptive step underflow"):
+        solve(n, lam)
 
 
 def test_duality_requires_transversality():

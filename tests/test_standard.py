@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hjcomplete import standard
 from hjcomplete.construct import CompleteSolution, DomainBoxError
 from hjcomplete.expr import ScalarField
 from hjcomplete.standard import (
+    CharacteristicFunction,
+    QuadratureError,
     characteristic_family,
     characteristic_function,
     simple_hamiltonian,
@@ -95,6 +98,95 @@ def test_family_covers_the_parameter_box():
     lams = sorted(W.lam[0] for W in family)
     assert lams[0] >= 1.0 and lams[-1] <= 2.0
     assert all(np.array_equal(W.q0, solution.n_box.mean(axis=1)) for W in family)
+
+
+def _section_graph(momentum):
+    """Sigma(q, lam) = (q, momentum(q)) over q in [-1, 1]."""
+    return CompleteSolution.from_callables(
+        lambda n, lam: np.array([n[0], momentum(n[0])]),
+        lambda n, lam: np.eye(2),
+        1,
+        [[-1.0, 1.0]],
+        [[0.0, 1.0]],
+    )
+
+
+def _count_sections(monkeypatch) -> list:
+    """Record every section evaluation W.value makes."""
+    calls = []
+    section = CharacteristicFunction.section
+
+    def counted(self, q):
+        calls.append(np.array(q))
+        return section(self, q)
+
+    monkeypatch.setattr(CharacteristicFunction, "section", counted)
+    return calls
+
+
+# QK15 as printed in QUADPACK: nodes x_0 > ... > x_7 = 0 and their K15
+# weights; x_1, x_3, x_5 and x_7 are the G7 nodes.
+_QK15_NODES = [
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.0,
+]
+_QK15_WEIGHTS = [
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+]
+
+
+def test_rule_is_quadpack_qk15():
+    nodes, weights = standard._K15_NODES, standard._K15_WEIGHTS
+    assert np.max(np.abs(nodes[7:][::-1] - _QK15_NODES)) < 1e-15
+    assert np.max(np.abs(nodes[:8] + _QK15_NODES)) < 1e-15
+    assert np.max(np.abs(weights[7:][::-1] - _QK15_WEIGHTS)) < 1e-15
+    assert np.max(np.abs(weights[:8] - _QK15_WEIGHTS)) < 1e-15
+
+
+@pytest.mark.parametrize("rule, degree", [(0, 23), (1, 13)], ids=["K15", "G7"])
+def test_rule_exactness_degree(rule, degree):
+    # on [-1, 1] the integral of t^d is 2/(d + 1) for even d and 0 for odd d;
+    # a mistyped node or weight breaks exactness below the nominal degree
+    def error(d):
+        estimate = standard._kronrod_panel(lambda t: t**d, -1.0, 1.0)[rule]
+        return abs(estimate - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+
+    assert max(error(d) for d in range(degree + 1)) < 1e-14
+    assert error(degree + 1) > 1e-10
+
+
+def test_smooth_section_settles_in_one_panel(monkeypatch):
+    # a settled segment is one K15 panel: 15 section evaluations per W value
+    calls = _count_sections(monkeypatch)
+    W = characteristic_function(_oscillator_solution(), [1.3], [-0.2])
+    W.value([0.45])
+    assert len(calls) == 15
+
+
+def test_kinked_section_bisects_to_its_closed_form(monkeypatch):
+    # p = |q - 1/4| on the segment -1/2 -> 1/2 kinks at t = 3/4: the whole
+    # segment and [1/2, 1] fail the K15-G7 test, [0, 1/2], [1/2, 3/4] and
+    # [3/4, 1] are linear and settle, and no node is evaluated twice
+    calls = _count_sections(monkeypatch)
+    W = characteristic_function(_section_graph(lambda q: abs(q - 0.25)), [0.5], [-0.5])
+    value = W.value([0.5])
+    assert value == pytest.approx((0.75**2 + 0.25**2) / 2.0, abs=1e-10)
+    assert len(calls) == 5 * 15
+    assert len({float(q[0]) for q in calls}) == len(calls)
+
+
+def test_jump_in_the_section_raises_quadrature_error():
+    W = characteristic_function(_section_graph(lambda q: float(q > 0.2)), [0.5], [-0.8])
+    with pytest.raises(
+        QuadratureError,
+        match=r"did not settle on \[0\.\d+, 0\.\d+\]: K15 and G7 differ by \d",
+    ):
+        W.value([0.9])
 
 
 def test_characteristic_requires_position_projection():
