@@ -56,7 +56,6 @@ from .symplectic import (
     SubspaceClass,
     VectorField,
     classify,
-    contains,
     fd_jacobian,
     hamiltonian_vf,
     lie_bracket,

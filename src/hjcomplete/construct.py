@@ -882,7 +882,7 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
 
         h0 = np.linalg.solve(AB[:, :k], n - pi_m - AB[:, k:] @ lam)
         chart(h0)  # but an unreachable start raises
-        h = newton_solve(residual, jacobian, h0, tol=tol.newton, max_iter=50)
+        h = newton_solve(residual, jacobian, h0, tol=tol.newton, role="S head Newton")
         x, D = chart(h)
         M = np.vstack([fibration.jacobian(x) @ D, np.eye(dim)[k:]])
         return x, D @ np.linalg.inv(M)
@@ -902,7 +902,7 @@ def _stacked_inverse(fibration: MapField, integrals: MapField, m, tol):
     def solve(n: np.ndarray, lam: np.ndarray):
         target = np.concatenate([n, lam])
         x = newton_solve(
-            lambda x: value(x) - target, jac, m, tol=tol.newton, max_iter=50
+            lambda x: value(x) - target, jac, m, tol=tol.newton, role="S stacked Newton"
         )
         return x, np.linalg.inv(jac(x))
 
@@ -999,7 +999,7 @@ def integrals_from_solution(
             lambda y: solution._evaluator(y[:k], y[k:]) - x,
             lambda y: solution._jacobian(y[:k], y[k:]),
             mid,
-            tol=tolerances.newton,
+            tol=tolerances.newton, role="F from S Newton",
         ))
 
     def solve(x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:

@@ -25,8 +25,10 @@ def newton_solve(
     x0: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 50,
+    role: str = "Newton",
 ) -> np.ndarray:
-    """Solve residual(x) = 0 by full Newton steps with Armijo backtracking."""
+    """Solve residual(x) = 0 by full Newton steps with Armijo backtracking;
+    a NewtonError's message starts with role, the solve that failed."""
     x = np.asarray(x0, dtype=float).copy()
     r = np.asarray(residual(x), dtype=float)
     nr = float(np.linalg.norm(r))
@@ -37,7 +39,7 @@ def newton_solve(
         try:
             delta = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular jacobian", nr, it) from exc
+            raise NewtonError(f"{role}: singular jacobian", nr, it) from exc
         t = 1.0
         best = None
         while t >= 1.0 / 1024.0:
@@ -51,13 +53,13 @@ def newton_solve(
                 best = (xn, rn, nn)
             t *= 0.5
         if best is None:
-            raise NewtonError("non finite residuals along the step", nr, it)
+            raise NewtonError(f"{role}: non finite residuals along the step", nr, it)
         xn, rn, nn = best
         if nn >= nr:
             if nn <= tol:
                 return xn
-            raise NewtonError("iteration stalled", nn, it)
+            raise NewtonError(f"{role}: iteration stalled", nn, it)
         x, r, nr = xn, rn, nn
     if nr <= tol:
         return x
-    raise NewtonError("maximum iterations exceeded", nr, max_iter)
+    raise NewtonError(f"{role}: maximum iterations exceeded", nr, max_iter)

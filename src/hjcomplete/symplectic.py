@@ -31,7 +31,6 @@ __all__ = [
     "SubspaceClass",
     "symp_orth",
     "classify",
-    "contains",
     "VectorField",
     "fd_jacobian",
     "hamiltonian_jacobian",
@@ -51,11 +50,14 @@ def structure_matrix(dimension_s: int) -> np.ndarray:
 
 
 def apply_structure(u: np.ndarray) -> np.ndarray:
-    """J u without forming J; u is a vector or a matrix of columns, its
-    rows ordered (q block, p block)."""
+    """J u without forming J; u is a vector, a matrix of columns or a stack
+    (..., 2s, c) of such matrices, its rows ordered (q block, p block)."""
     u = np.asarray(u, dtype=float)
-    s = u.shape[0] // 2
-    return np.concatenate([u[s:], -u[:s]])
+    if u.ndim == 1:
+        s = u.shape[0] // 2
+        return np.concatenate([u[s:], -u[:s]])
+    s = u.shape[-2] // 2
+    return np.concatenate([u[..., s:, :], -u[..., :s, :]], axis=-2)
 
 
 def omega(u, v) -> float:
@@ -68,28 +70,40 @@ def omega(u, v) -> float:
     return float(u[:s] @ v[s:] - u[s:] @ v[:s])
 
 
-def isotropy_defect(V: np.ndarray) -> float:
+def isotropy_defect(V: np.ndarray):
     """max |omega(v_i, v_j)| over the columns of V: 0 exactly on an
-    isotropic set, and 0 for no columns."""
+    isotropic set and for no columns; a stack (P, 2s, d) gives P maxima."""
     V = np.asarray(V, dtype=float)
-    return float(np.max(np.abs(V.T @ apply_structure(V)), initial=0.0))
+    worst = np.max(np.abs(V.mT @ apply_structure(V)), axis=(-2, -1), initial=0.0)
+    return float(worst) if V.ndim == 2 else worst
 
 
-def _rank(sv: np.ndarray, rank_tol: float) -> int:
-    """The rank cutoff: singular values above rank_tol times the largest."""
-    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+def _rank(sv: np.ndarray, rank_tol: float):
+    """The rank cutoff: singular values above rank_tol times the largest,
+    along the last axis, so a stack of spectra gives an array of ranks."""
+    ranks = np.sum(sv > rank_tol * sv[..., :1], axis=-1)
+    return int(ranks) if np.ndim(sv) == 1 else ranks
 
 
-def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank) -> int:
+def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank):
+    """Rank of a matrix, or the ranks of a stack (P, m, n) as an array."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     return _rank(np.linalg.svd(A, compute_uv=False), rank_tol)
+
+
+def _kernels(A: np.ndarray, rank_tol: float) -> list:
+    """Kernels of a stack (P, m, n) from one SVD, grouped by dimension:
+    a list of (stack indices, orthonormal bases (G, n, d) as columns)."""
+    _, sv, vh = np.linalg.svd(A)
+    ranks = _rank(sv, rank_tol)
+    groups = [(np.flatnonzero(ranks == r), r) for r in np.unique(ranks)]
+    return [(idx, vh[idx, r:].mT.copy()) for idx, r in groups]
 
 
 def nullspace(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank) -> np.ndarray:
     """Orthonormal basis of the kernel, as columns."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    _, sv, vh = np.linalg.svd(A)
-    return vh[_rank(sv, rank_tol):].T.copy()
+    return _kernels(A[None], rank_tol)[0][1][0]
 
 
 @dataclass(frozen=True)
@@ -134,11 +148,12 @@ class Subspace:
         return self.basis.shape[0]
 
 
-def contains(outer: Subspace, inner: Subspace) -> bool:
-    """Subspace containment by a rank test: inner <= outer."""
-    stacked = np.hstack([outer.basis, inner.basis])
-    tol = min(outer.rank_tol, inner.rank_tol)
-    return numerical_rank(stacked, tol) == outer.dim
+def _classes(V: np.ndarray, W: np.ndarray, rank_tol: float):
+    """(isotropic, coisotropic, symplectic) flags of stacked subspaces V
+    (P, 2s, d) against their complements W (P, 2s, c), by one rank each."""
+    rank = numerical_rank(np.concatenate([V, W], axis=-1), rank_tol)
+    d, c = V.shape[-1], W.shape[-1]
+    return rank == c, rank == d, rank == d + c
 
 
 def symp_orth(V: Subspace) -> Subspace:
@@ -149,8 +164,7 @@ def symp_orth(V: Subspace) -> Subspace:
     """
     if V.ambient_dim % 2:
         raise ValueError("ambient dimension must be even")
-    JB = apply_structure(V.basis)
-    kernel = nullspace(JB.T, V.rank_tol) if V.dim else np.eye(V.ambient_dim)
+    kernel = nullspace(apply_structure(V.basis).T, V.rank_tol)
     return Subspace(V.basepoint, kernel, V.rank_tol)
 
 
@@ -163,11 +177,10 @@ class SubspaceClass:
 
 
 def classify(V: Subspace) -> SubspaceClass:
+    """Each flag is read off the one rank of [V W], as in the stacked checks."""
     W = symp_orth(V)
-    iso = contains(W, V)
-    coiso = contains(V, W)
-    stacked = np.hstack([V.basis, W.basis])
-    transverse = numerical_rank(stacked, V.rank_tol) == V.dim + W.dim
+    flags = _classes(V.basis[None], W.basis[None], V.rank_tol)
+    iso, coiso, transverse = (bool(f[0]) for f in flags)
     return SubspaceClass(
         isotropic=iso,
         coisotropic=coiso,

@@ -3,10 +3,14 @@
 Every check reports the worst residual over a probe set together with the
 tolerance it was held to, so a report is meaningful on its own.  Probe
 sets are seeded and recorded; identical inputs give identical reports.
+
+The checks on F run on stacks over the probes: one dF per probe, and one
+stacked SVD per kernel or complement dimension serves every probe.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -16,16 +20,15 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .construct import CompleteSolution, FirstIntegralSubmersion, _integrals_map
 from .expr import MapField, ScalarField
 from .symplectic import (
-    Subspace,
+    _classes,
+    _kernels,
+    _rank,
     apply_structure,
-    classify,
     fd_jacobian,
     hamiltonian_jacobian,
     hamiltonian_vf,
     isotropy_defect,
-    nullspace,
     numerical_rank,
-    symp_orth,
 )
 
 MapLike = Union[MapField, FirstIntegralSubmersion]
@@ -60,14 +63,12 @@ _PROBE_MARGIN = 0.9  # solution probes keep to the central 90% of each box
 
 def _collect(name, residuals, points, tolerance, seed=None) -> ResidualReport:
     residuals = np.asarray(residuals, dtype=float)
-    failures = []
-    for val, pt in zip(residuals, points):
-        if val > tolerance and len(failures) < _MAX_RECORDED_FAILURES:
-            failures.append((tuple(np.asarray(pt, dtype=float)), float(val)))
-    worst = float(np.max(residuals)) if residuals.size else np.inf
-    return ResidualReport(
-        name, worst, tolerance, int(residuals.size), tuple(failures), seed
+    failures = tuple(
+        (tuple(np.asarray(points[i], dtype=float)), float(residuals[i]))
+        for i in np.flatnonzero(residuals > tolerance)[:_MAX_RECORDED_FAILURES]
     )
+    worst = float(np.max(residuals)) if residuals.size else np.inf
+    return ResidualReport(name, worst, tolerance, int(residuals.size), failures, seed)
 
 
 def sample_cube(center, radius: float, count: int, seed: int = 0) -> np.ndarray:
@@ -75,6 +76,19 @@ def sample_cube(center, radius: float, count: int, seed: int = 0) -> np.ndarray:
     center = np.asarray(center, dtype=float)
     rng = np.random.default_rng(seed)
     return center + rng.uniform(-radius, radius, size=(count, center.shape[0]))
+
+
+def _solution_probes(check: str, solution, probes: int, seed: int):
+    """(n, lam, S, DS) at seeded probes; a failure of S is re-raised as
+    itself, attributes kept, its message naming the check and the probe."""
+    ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
+    for i, (n, lam) in enumerate(zip(ns, lams)):
+        try:  # only S runs here: the loop body's errors never enter
+            yield n, lam, solution(n, lam), solution.jacobian(n, lam)
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
+            at = f"n={n.tolist()}, lambda={lam.tolist()}"
+            exc.args = (f"{check} probe {i + 1} of {probes} at {at}: {exc}",)
+            raise
 
 
 def hje_residual(
@@ -94,11 +108,8 @@ def hje_residual(
     defect |fibration(solution) - n| is folded into the same residual.
     """
     xh = hamiltonian_vf(hamiltonian, tolerances)
-    ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     residuals, points = [], []
-    for n, lam in zip(ns, lams):
-        x = solution(n, lam)
-        DS = solution.jacobian(n, lam)
+    for n, lam, x, DS in _solution_probes("hje_residual", solution, probes, seed):
         A = DS.T @ apply_structure(DS)
         X = np.concatenate([fibration.jacobian(x) @ xh(x), np.zeros(solution.l)])
         covector = X @ A - hamiltonian.gradient(x) @ DS
@@ -120,12 +131,25 @@ def isotropy_residual(
     of the leaf through each probe; isotropy demands all their pairings
     vanish.  A single column passes trivially.
     """
-    ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     residuals, points = [], []
-    for n, lam in zip(ns, lams):
-        residuals.append(isotropy_defect(solution.jacobian(n, lam)[:, : solution.k]))
+    for n, lam, _, DS in _solution_probes("isotropy_residual", solution, probes, seed):
+        residuals.append(isotropy_defect(DS[:, : solution.k]))
         points.append(np.concatenate([n, lam]))
     return _collect("isotropy_residual", residuals, points, tolerances.residual, seed)
+
+
+def _jacobian_stack(F: MapLike, points: np.ndarray) -> np.ndarray:
+    """dF at every probe, one evaluation each, as a (P, l, 2s) stack."""
+    integrals = _integrals_map(F)
+    dF = [integrals.jacobian(x) for x in points]
+    return np.array(dF).reshape(len(dF), integrals.target_dim, integrals.dim)
+
+
+def _drift(dF, hamiltonian, points, tolerances, seed) -> ResidualReport:
+    xh = hamiltonian_vf(hamiltonian, tolerances)
+    X = np.array([xh(x) for x in points]).reshape(dF.shape[0], dF.shape[2], 1)
+    drift = np.max(np.abs(dF @ X), axis=(1, 2), initial=0.0)
+    return _collect("first_integral_residual", drift, points, tolerances.residual, seed)
 
 
 def first_integral_residual(
@@ -136,14 +160,7 @@ def first_integral_residual(
     seed: Optional[int] = None,
 ) -> ResidualReport:
     """Drift of the candidate integrals along the Hamiltonian field."""
-    integrals = _integrals_map(F)
-    xh = hamiltonian_vf(hamiltonian, tolerances)
-    residuals = [
-        float(np.max(np.abs(integrals.jacobian(x) @ xh(x)))) for x in points
-    ]
-    return _collect(
-        "first_integral_residual", residuals, points, tolerances.residual, seed
-    )
+    return _drift(_jacobian_stack(F, points), hamiltonian, points, tolerances, seed)
 
 
 @dataclass(frozen=True)
@@ -186,6 +203,46 @@ def _field_jacobians(F: MapLike, tolerances: Tolerances):
     return jacobians
 
 
+def _geometry(F, dF, points, tolerances, fibration, seed):
+    """The submersion checks on the dF stack and whether every kernel is
+    Lagrangian, probes grouped by the dimensions of Ker dF and its complement."""
+    P, l, n = dF.shape
+    tol = tolerances.rank
+    deficit, gram, frob, lagrangian = np.zeros(P), np.zeros(P), np.zeros(P), True
+    vals = apply_structure(dF.mT)  # columns X_i = J dF_i
+    scale = np.maximum(1.0, np.max(np.abs(vals), axis=(1, 2), initial=0.0))
+    for idx, K in _kernels(dF, tol):
+        deficit[idx] = l - (n - K.shape[2])  # l minus the rank of dF
+        gram[idx] = isotropy_defect(K)
+        for sub, C in _kernels(apply_structure(K).mT, tol):
+            at = idx[sub]
+            gap = vals[at] - C @ (C.mT @ vals[at])
+            frob[at] = np.max(np.abs(gap), axis=(1, 2), initial=0.0) / scale[at]
+            iso, coiso, _ = _classes(K[sub], C, tol)
+            lagrangian &= bool(np.all(iso & coiso))
+    if fibration is not None:
+        DPi = np.array([fibration.jacobian(x) for x in points])
+        both = np.concatenate([DPi.reshape(P, fibration.target_dim, n), dF], axis=1)
+        deficit = np.maximum(deficit, n - numerical_rank(both, tol))
+    if l > 1:
+        jacobians = _field_jacobians(F, tolerances)
+        DX = np.array([jacobians(x) for x in points]).reshape(P, l, n, n)
+        # the frame's left singular vectors, cut as lstsq cuts by default
+        U, sv, _ = np.linalg.svd(vals, full_matrices=False)
+        cut = _rank(sv, np.finfo(float).eps * max(n, l))
+        U = U * (np.arange(sv.shape[1]) < cut[:, None])[:, None, :]
+        for i, j in itertools.combinations(range(l), 2):
+            bracket = DX[:, j] @ vals[:, :, i, None] - DX[:, i] @ vals[:, :, j, None]
+            gap = bracket - U @ (U.mT @ bracket)
+            size = np.maximum(1.0, np.linalg.norm(bracket, axis=(1, 2)))
+            frob = np.maximum(frob, np.linalg.norm(gap, axis=(1, 2)) / size)
+    return SubmersionReport(
+        _collect("submersion_rank", deficit, points, 0.0, seed),
+        _collect("kernel_gram", gram, points, tolerances.residual, seed),
+        _collect("frobenius_span", frob, points, tolerances.frobenius, seed),
+    ), lagrangian
+
+
 def submersion_checks(
     F: MapLike,
     points: np.ndarray,
@@ -205,46 +262,11 @@ def submersion_checks(
     from a chart-side stencil for a FirstIntegralSubmersion, the exact
     J Hess F_i for a parsed component, and a phase-space central
     difference for any other procedural component (_field_jacobians).
+    Probes are checked as stacks; a bracket's defect is its residual off
+    the frame's left singular vectors, cut as lstsq cuts them by default.
     """
-    integrals = _integrals_map(F)
-    s = integrals.dimension_s
-    l = integrals.target_dim
-    rank_resid, gram_resid, frob_resid = [], [], []
-    field_jacobians = _field_jacobians(F, tolerances)
-
-    for x in points:
-        dF = integrals.jacobian(x)
-        deficit = l - numerical_rank(dF, tolerances.rank)
-        if fibration is not None:
-            stacked = np.vstack([fibration.jacobian(x), dF])
-            deficit = max(deficit, 2 * s - numerical_rank(stacked, tolerances.rank))
-        rank_resid.append(float(deficit))
-
-        kernel = nullspace(dF, tolerances.rank)
-        gram_resid.append(isotropy_defect(kernel))
-
-        vals = np.column_stack([apply_structure(g) for g in dF])
-        comp = symp_orth(Subspace(np.asarray(x, float), kernel, tolerances.rank))
-        span_gap = np.max(
-            np.abs(vals - comp.basis @ (comp.basis.T @ vals))
-        ) / max(1.0, float(np.max(np.abs(vals))))
-        worst = float(span_gap)
-        jacs = field_jacobians(x) if l > 1 else []  # brackets only
-        for i in range(l):
-            for j in range(i + 1, l):
-                bracket = jacs[j] @ vals[:, i] - jacs[i] @ vals[:, j]
-                coeff, *_ = np.linalg.lstsq(vals, bracket, rcond=None)
-                gap = np.linalg.norm(vals @ coeff - bracket)
-                worst = max(
-                    worst, float(gap / max(1.0, np.linalg.norm(bracket)))
-                )
-        frob_resid.append(worst)
-
-    return SubmersionReport(
-        _collect("submersion_rank", rank_resid, points, 0.0, seed),
-        _collect("kernel_gram", gram_resid, points, tolerances.residual, seed),
-        _collect("frobenius_span", frob_resid, points, tolerances.frobenius, seed),
-    )
+    dF = _jacobian_stack(F, points)
+    return _geometry(F, dF, points, tolerances, fibration, seed)[0]
 
 
 @dataclass(frozen=True)
@@ -274,20 +296,14 @@ def integrability_report(
     tolerances: Tolerances = DEFAULT_TOLERANCES,
     seed: Optional[int] = None,
 ) -> IntegrabilityReport:
-    """Classify the pair (hamiltonian, integrals) at the given probes."""
-    integrals = _integrals_map(F)
-    s = integrals.dimension_s
-    l = integrals.target_dim
-    fi = first_integral_residual(F, hamiltonian, points, tolerances, seed)
-    sub = submersion_checks(F, points, tolerances, seed=seed)
+    """Classify the pair (hamiltonian, integrals) at the given probes.
 
-    lagrangian = True
-    for x in points:
-        kernel = nullspace(integrals.jacobian(x), tolerances.rank)
-        cls = classify(Subspace(np.asarray(x, float), kernel, tolerances.rank))
-        if not cls.lagrangian:
-            lagrangian = False
-            break
-
+    One dF stack, one evaluation per probe, serves every check; Lagrangian
+    is decided by classify's rank rule on the submersion checks' kernels.
+    """
+    dF = _jacobian_stack(F, points)
+    fi = _drift(dF, hamiltonian, points, tolerances, seed)
+    sub, lagrangian = _geometry(F, dF, points, tolerances, None, seed)
+    s, l = dF.shape[2] // 2, dF.shape[1]
     comm = sub.passed and l == s and lagrangian
     return IntegrabilityReport(fi, sub, s, l, lagrangian, sub.passed, comm)

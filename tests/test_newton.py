@@ -48,7 +48,9 @@ def test_max_iterations_reported():
             lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
             np.array([0.0]),
             max_iter=8,
+            role="arctan Newton",
         )
+    assert str(err.value).startswith("arctan Newton: ")
     assert err.value.iterations <= 8
     assert err.value.residual_norm > 0.0
 

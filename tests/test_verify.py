@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hjcomplete import symplectic, verify
+from hjcomplete import construct, symplectic, verify
 from hjcomplete.config import Tolerances
 from hjcomplete.construct import (
     ChartTower,
@@ -16,6 +17,7 @@ from hjcomplete.construct import (
 )
 from hjcomplete.scenarios import parse_config
 from hjcomplete.expr import MapField, ScalarField
+from hjcomplete.newton import NewtonError
 from hjcomplete.symplectic import fd_jacobian, hamiltonian_vf
 from hjcomplete.verify import (
     first_integral_residual,
@@ -337,3 +339,257 @@ def test_parsed_pairs_make_no_finite_differences(monkeypatch):
     assert submersion_checks(F, pts).passed
     assert integrability_report(H, F, pts).commutative
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the stacked probe checks against the per-probe loop they replaced
+
+
+def _oracle_rank(sv, rank_tol):
+    return int(np.sum(sv > rank_tol * sv[0])) if sv.size and sv[0] > 0.0 else 0
+
+
+def _oracle_kernel(A, rank_tol):
+    _, sv, vh = np.linalg.svd(A)
+    return vh[_oracle_rank(sv, rank_tol):].T.copy()
+
+
+def _oracle_rank_of(A, rank_tol):
+    return _oracle_rank(np.linalg.svd(A, compute_uv=False), rank_tol)
+
+
+def _per_probe_oracle(H, F, points, tol=TOL):
+    """One probe at a time, as the checks ran before they were stacked:
+    per-probe SVDs, lstsq for each bracket, and the Lagrangian label from
+    two containment ranks."""
+    n = 2 * F.dimension_s
+    l = F.target_dim
+    J = symplectic.structure_matrix(F.dimension_s)
+    xh = hamiltonian_vf(H, tol)
+    drift, rank, gram, frob, lagrangian = [], [], [], [], True
+    for x in points:
+        dF = F.jacobian(x)
+        drift.append(float(np.max(np.abs(dF @ xh(x)))))
+        rank.append(float(l - _oracle_rank_of(dF, tol.rank)))
+        K = _oracle_kernel(dF, tol.rank)
+        gram.append(float(np.max(np.abs(K.T @ J @ K), initial=0.0)))
+        vals = J @ dF.T
+        W = _oracle_kernel((J @ K).T, tol.rank) if K.shape[1] else np.eye(n)
+        worst = np.max(np.abs(vals - W @ (W.T @ vals))) / max(1.0, np.max(np.abs(vals)))
+        jacs = [J @ c.hessian(x) for c in F.components]
+        for i in range(l):
+            for j in range(i + 1, l):
+                bracket = jacs[j] @ vals[:, i] - jacs[i] @ vals[:, j]
+                coeff, *_ = np.linalg.lstsq(vals, bracket, rcond=None)
+                gap = np.linalg.norm(vals @ coeff - bracket)
+                worst = max(worst, gap / max(1.0, np.linalg.norm(bracket)))
+        frob.append(float(worst))
+        iso = _oracle_rank_of(np.hstack([W, K]), tol.rank) == W.shape[1]
+        coiso = _oracle_rank_of(np.hstack([K, W]), tol.rank) == K.shape[1]
+        lagrangian = lagrangian and iso and coiso
+    return {
+        "first_integral_residual": drift,
+        "submersion_rank": rank,
+        "kernel_gram": gram,
+        "frobenius_span": frob,
+    }, lagrangian
+
+
+def _stacked(H, F, points, monkeypatch):
+    """integrability_report with the per-probe residual arrays it collects."""
+    seen = {}
+    collect = verify._collect
+
+    def recording(name, residuals, *args):
+        seen[name] = np.asarray(residuals, dtype=float)
+        return collect(name, residuals, *args)
+
+    monkeypatch.setattr(verify, "_collect", recording)
+    return integrability_report(H, F, points), seen
+
+
+def _assert_matches_oracle(H, F, points, monkeypatch):
+    report, seen = _stacked(H, F, points, monkeypatch)
+    want, lagrangian = _per_probe_oracle(H, F, points)
+    for name, values in want.items():
+        assert seen[name].shape == (len(points),), name
+        assert np.all(np.abs(seen[name] - values) <= 1e-15), name
+    assert report.kernel_lagrangian == lagrangian
+    sub = report.submersion
+    assert report.non_commutative == (
+        len(points) > 0
+        and max(want["submersion_rank"]) <= 0.0
+        and max(want["kernel_gram"]) <= TOL.residual
+        and max(want["frobenius_span"]) <= TOL.frobenius
+    ) == sub.passed
+    assert report.commutative == (
+        sub.passed and F.target_dim == F.dimension_s and lagrangian
+    )
+    return report
+
+
+_MONOMIAL = st.tuples(
+    st.sampled_from([-2, -1, 1, 2]),
+    st.lists(st.integers(0, 2), min_size=4, max_size=4),
+)
+_POLYNOMIAL = st.lists(_MONOMIAL, min_size=1, max_size=3)
+
+
+def _polynomial(terms, s):
+    names = [f"q{i + 1}" for i in range(s)] + [f"p{i + 1}" for i in range(s)]
+    parts = []
+    for coefficient, powers in terms:
+        factors = [f"{v}^{e}" for v, e in zip(names, powers[: 2 * s]) if e]
+        parts.append(" * ".join([str(coefficient)] + factors))
+    return " + ".join(parts)
+
+
+@settings(max_examples=25, derandomize=True)
+@given(
+    s=st.integers(1, 2),
+    components=st.lists(_POLYNOMIAL, min_size=1, max_size=3),
+    probes=st.sampled_from([0, 1, 6]),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_checks_match_the_per_probe_loop(s, components, probes, seed):
+    # drawn polynomial maps; every other probe sits on q1 = 0 exactly, so
+    # maps with a q1 factor mix kernel dimensions within one probe set
+    components = components[: 2 * s]
+    F = MapField.from_sources(tuple(_polynomial(c, s) for c in components), s)
+    H = HARMONIC_S1 if s == 1 else ScalarField.parse("(q1^2 + p1^2 + p2^2)/2", 2)
+    points = sample_cube(np.full(2 * s, 0.3), 0.5, probes, seed)
+    points[::2, 0] = 0.0
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        report = _assert_matches_oracle(H, F, points, monkeypatch)
+    assert report.first_integrals.probe_count == probes
+
+
+def test_stacked_checks_group_probes_by_kernel_dimension(monkeypatch):
+    # dF = (2 q1, 0) has rank 0 at q1 = 0 and rank 1 elsewhere; both
+    # groups in one stack give what each probe gives on its own
+    F = MapField.from_sources(("q1^2",), 1)
+    H = ScalarField.parse("p1^2/2", 1)
+    points = sample_cube([0.0, 0.5], 0.3, 8, seed=41)
+    points[[1, 4, 5], 0] = 0.0
+    report = _assert_matches_oracle(H, F, points, monkeypatch)
+    assert report.submersion.rank.max_residual == 1.0
+    assert len(report.submersion.rank.failures) == 3
+    assert not report.non_commutative
+    for x in points:
+        alone = submersion_checks(F, x[None])
+        assert alone.rank.max_residual == (1.0 if x[0] == 0.0 else 0.0)
+
+
+def test_frobenius_defect_cuts_the_frame_as_lstsq_does(monkeypatch):
+    # at q1 = p2 = 0 the frame X_i = J dF_i is (e_q1, e_q1) exactly, and
+    # the bracket X_{-p2} = -e_q2 lies outside it: the defect is 1, as
+    # lstsq gives it, and a singular vector kept past the cut would lower it
+    F = MapField.from_sources(("p1", "p1 + q1*p2"), 2)
+    points = sample_cube([0.0, 0.2, 0.5, 0.0], 0.1, 4, seed=43)
+    points[:2, [0, 3]] = 0.0
+    _assert_matches_oracle(FREE_S2, F, points, monkeypatch)
+    _, seen = _stacked(FREE_S2, F, points, monkeypatch)
+    assert seen["frobenius_span"][:2].tolist() == [1.0, 1.0]
+    # tilted by 1e-12 along e_q2 the frame has rank 2 under lstsq's cut
+    # eps max(2s, l) sv_0, so the bracket lies in its span; lstsq's own
+    # residual there is 1.2e-4 of cancellation in vals @ coeff
+    tilted = MapField.from_sources(("p1", "p1 + 0.000000000001*p2 + q1*p2"), 2)
+    _, seen = _stacked(FREE_S2, tilted, points, monkeypatch)
+    assert np.all(seen["frobenius_span"][:2] < 1e-11)
+
+
+def test_stacked_checks_on_one_and_no_probes(monkeypatch):
+    F = MapField.from_sources(("p1", "q1*p2"), 2)
+    H = FREE_S2
+    one = sample_cube([0.3, 0.0, 0.5, 0.8], 0.1, 1)
+    report = _assert_matches_oracle(H, F, one, monkeypatch)
+    assert report.submersion.frobenius.probe_count == 1
+    none = _assert_matches_oracle(H, F, np.zeros((0, 4)), monkeypatch)
+    sub = none.submersion
+    for r in (none.first_integrals, sub.rank, sub.kernel_gram, sub.frobenius):
+        assert r.probe_count == 0 and not r.passed
+    assert not none.non_commutative and not none.commutative
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("probes", [10, 100])
+def test_integrability_report_work_does_not_grow_per_probe(probes, monkeypatch):
+    # one dF per probe, and a fixed number of stacked SVDs and no lstsq
+    # whatever the probe count
+    iso = "(q1^2 + q2^2 + p1^2 + p2^2)/2"
+    H = ScalarField.parse(iso, 2)
+    F = MapField.from_sources((iso, "q1*p2 - q2*p1"), 2)
+    points = sample_cube([0.3, 0.1, 1.0, 0.7], 0.2, probes, seed=11)
+    counts = {}
+    _count_calls(monkeypatch, MapField, "jacobian", counts)
+    for name in ("svd", "lstsq"):
+        _count_calls(monkeypatch, np.linalg, name, counts)
+    assert integrability_report(H, F, points).commutative
+    assert counts.pop("jacobian") == probes
+    assert counts == {"svd": 4}
+
+
+class _FailingSolution:
+    """A CompleteSolution stand-in whose S solve fails at one probe."""
+
+    k, l = 1, 1
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def sample_domain(self, count, seed=0, margin=1.0):
+        grid = np.linspace(-0.5, 0.5, count)[:, None]
+        return grid, 1.0 + grid
+
+    def _solve(self, n, lam):
+        if n[0] == self.bad:
+            raise NewtonError("S head Newton: iteration stalled", 4.407e-3, 6)
+        return np.array([n[0], lam[0]]), np.eye(2)
+
+    def __call__(self, n, lam):
+        return self._solve(n, lam)[0]
+
+    def jacobian(self, n, lam):
+        return self._solve(n, lam)[1]
+
+
+@pytest.mark.parametrize("check", ["hje_residual", "isotropy_residual"])
+def test_a_failing_solve_names_the_check_and_the_probe(check):
+    solution = _FailingSolution(bad=0.0)
+    Pi = MapField.from_sources(("q1",), 1)
+    args = (FREE_S1, Pi) if check == "hje_residual" else ()
+    with pytest.raises(NewtonError) as info:
+        getattr(verify, check)(solution, *args, probes=5)
+    assert str(info.value) == (
+        f"{check} probe 3 of 5 at n=[0.0], lambda=[1.0]: S head Newton: "
+        "iteration stalled (residual 4.407e-03 after 6 iterations)"
+    )
+    assert (info.value.residual_norm, info.value.iterations) == (4.407e-3, 6)
+
+
+def test_a_failing_head_solve_names_its_solver(harmonic_s2, monkeypatch):
+    # no Newton step allowed: the first S solve at a fresh probe must fail,
+    # and the error carries the check, the probe and the solve
+    H, Pi, _, _, solution = harmonic_s2
+    newton = construct.newton_solve
+
+    def no_steps(*args, **kwargs):
+        return newton(*args, **{**kwargs, "max_iter": 0})
+
+    monkeypatch.setattr(construct, "newton_solve", no_steps)
+    with pytest.raises(
+        NewtonError,
+        match=r"^hje_residual probe 1 of 3 at n=\[.*\], lambda=\[.*\]: S head "
+        r"Newton: maximum iterations exceeded \(residual .* after 0 iterations\)$",
+    ) as info:
+        hje_residual(solution, H, Pi, probes=3, seed=2**20)
+    assert info.value.iterations == 0 and info.value.residual_norm > 0.0
