@@ -20,8 +20,8 @@ class Tolerances:
     ode_rel     relative error target of the adaptive integrator
     residual    default acceptance threshold for verification residuals
     frobenius   span threshold of the bracket closure oracle, looser since
-                procedural components get FD brackets: in chart coordinates
-                for a constructed F, in phase space for any other
+                procedural components get FD brackets: along the k head
+                chart coordinates for a constructed F, in phase space else
     fd_step     step of every central-difference verification oracle;
                 construction is exact
     """

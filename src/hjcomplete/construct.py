@@ -41,7 +41,6 @@ from .symplectic import (
     VectorField,
     _rank,
     classify,
-    fd_jacobian,
     hamiltonian_vf,
     isotropy_defect,
     nullspace,
@@ -378,8 +377,8 @@ class FrameState:
     """Current commuting frame together with its chart tower.
 
     fields hold the frame as honest phase-space vector fields: the first
-    is always the Hamiltonian field, later ones are procedural, with
-    finite-difference Jacobians.  They serve the checks; the charts do not
+    is always the Hamiltonian field, later ones are procedural and have
+    no derivative.  They serve the checks; the charts do not
     flow them: charts[j] (j >= 1) flows the column tower.columns[j] of the
     parent level's Poisson matrix, with its exact Jacobian.  tower holds
     one chart per field, and assumptions the passed hypothesis check at
@@ -449,9 +448,7 @@ def init_frame(
     )
 
 
-def _lifted_x_field(
-    tower: ChartTower, index: TowerIndex, b: int, dim_s: int, fd_step: float
-) -> VectorField:
+def _lifted_x_field(tower: ChartTower, index: TowerIndex, b: int, dim_s: int) -> VectorField:
     """The lifted coordinate field as a phase-space vector field.
 
     Evaluation pulls x back to chart coordinates, reads the lifted field
@@ -459,10 +456,9 @@ def _lifted_x_field(
     """
     lam = tower.poissons[-1]
 
-    def evaluate(x: np.ndarray, derivative: bool = False):
+    def evaluate(x: np.ndarray):
         entry = index.solve(x, need_jacobian=True)
-        value = entry.jac @ lam(entry.coords)[:, b]
-        return (value, fd_jacobian(evaluate, x, fd_step)) if derivative else value
+        return entry.jac @ lam(entry.coords)[:, b]
 
     return VectorField(evaluate, dim_s)
 
@@ -556,9 +552,7 @@ def extend_frame(state: FrameState) -> FrameState:
         )
 
     index = TowerIndex(tower)
-    new_field = _lifted_x_field(
-        tower, index, best_b, state.dimension_s, tol.fd_step
-    )
+    new_field = _lifted_x_field(tower, index, best_b, state.dimension_s)
 
     # Next chart lives in the current tower coordinates, where the old
     # frame is the translations e_0..e_{r-1} and the new field is a column

@@ -197,10 +197,10 @@ def classify(V: Subspace) -> SubspaceClass:
 class VectorField:
     """A vector field X on R^{2s}, given by one evaluation callable.
 
-    evaluate(x) returns X(x); evaluate(x, derivative=True) returns the
-    pair (X(x), DX(x)) from one evaluation, and its value is bitwise the
-    plain one.  For the Hamiltonian field of a parsed scalar either is one
-    generated kernel call.  Calling the field returns X(x).
+    evaluate(x) returns X(x).  A field with a derivative, as every
+    hamiltonian_vf is, returns the pair (X(x), DX(x)) for derivative=True
+    from one evaluation, its value bitwise the plain one; a parsed scalar's
+    field makes one generated kernel call either way.  Calling gives X(x).
     """
 
     evaluate: Callable[..., np.ndarray]

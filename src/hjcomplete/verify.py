@@ -5,7 +5,10 @@ tolerance it was held to, so a report is meaningful on its own.  Probe
 sets are seeded and recorded; identical inputs give identical reports.
 
 The checks on F run on stacks over the probes: one dF per probe, and one
-stacked SVD per kernel or complement dimension serves every probe.
+stacked SVD per kernel or complement dimension serves every probe.  On a
+constructed F the Frobenius check differences {F_i, F_j} o Psi along the
+k head chart coordinates only: its tail derivatives multiply frame
+columns J dF_m, which the check projects off exactly.
 """
 
 from __future__ import annotations
@@ -176,31 +179,22 @@ class SubmersionReport:
         return self.rank.passed and self.kernel_gram.passed and self.frobenius.passed
 
 
-def _field_jacobians(F: MapLike, tolerances: Tolerances):
-    """x -> [DX_i(x)] for the complement fields X_i = J dF_i.
+def _head_terms(F: FirstIntegralSubmersion, x, tolerances: Tolerances) -> np.ndarray:
+    """J sum_{a<k} d_a P_ij (DPsi^-1)[a] at x as (n, l * l), P the bracket
+    matrix {F_i, F_j} o Psi = (DPsi^-1)_tail J (DPsi^-1)_tail^T: the head
+    part of the bracket [X_i, X_j], its tail part being frame columns.
+    d_a P is a central difference over 2k forward passes at x's memoized
+    chart coordinates, DPsi read off each pass (submersion_checks)."""
+    tower, k = F.state.tower, F.k
+    entry = F.index.solve(x, need_jacobian=True)
 
-    On the tower Psi of a constructed F, F(Psi(y)) = y_tail, so X_i(Psi(y))
-    = J (DPsi(y)^-1)[k + i] =: G_i(y) and DX_i(x) = DG_i(y) DPsi(y)^-1 at
-    y = Psi^-1(x).  DG is one central difference over forward passes in
-    chart coordinates, shared by the l fields: no tower solve, no exact dlam.
-    Other maps take hamiltonian_jacobian of each component, which skips
-    the value: the caller already has X_i from dF.
-    """
-    if not isinstance(F, FirstIntegralSubmersion):
-        step = tolerances.fd_step
-        return lambda x: [hamiltonian_jacobian(c, x, step) for c in F.components]
-    tower, k, n = F.state.tower, F.k, 2 * F.dimension_s
-
-    def stacked(y: np.ndarray) -> np.ndarray:
+    def brackets(head: np.ndarray) -> np.ndarray:
+        y = np.concatenate([head, entry.coords[k:]])
         rows = np.linalg.inv(tower.forward_and_jacobian(y)[1])[k:]
-        return np.concatenate([apply_structure(r) for r in rows])
+        return (rows @ apply_structure(rows.T)).ravel()
 
-    def jacobians(x: np.ndarray) -> list[np.ndarray]:
-        entry = F.index.solve(x, need_jacobian=True)
-        DG = fd_jacobian(stacked, entry.coords, tolerances.fd_step)
-        return [d @ entry.jac_inv for d in DG.reshape(-1, n, n)]
-
-    return jacobians
+    dP = fd_jacobian(brackets, entry.coords[:k], tolerances.fd_step)
+    return apply_structure(entry.jac_inv[:k].T @ dP.T)
 
 
 def _geometry(F, dF, points, tolerances, fibration, seed):
@@ -225,16 +219,22 @@ def _geometry(F, dF, points, tolerances, fibration, seed):
         both = np.concatenate([DPi.reshape(P, fibration.target_dim, n), dF], axis=1)
         deficit = np.maximum(deficit, n - numerical_rank(both, tol))
     if l > 1:
-        jacobians = _field_jacobians(F, tolerances)
-        DX = np.array([jacobians(x) for x in points]).reshape(P, l, n, n)
+        pairs = list(itertools.combinations(range(l), 2))
+        if isinstance(F, FirstIntegralSubmersion):  # the brackets up to frame columns
+            T = np.reshape([_head_terms(F, x, tolerances) for x in points], (P, n, l, l))
+            terms = [T[:, :, i, j, None] for i, j in pairs]
+        else:  # DX_i = J Hess F_i, exact if parsed, a central difference if not
+            DX = np.array([[hamiltonian_jacobian(c, x, tolerances.fd_step)
+                            for c in F.components] for x in points]).reshape(P, l, n, n)
+            terms = [DX[:, j] @ vals[:, :, i, None] - DX[:, i] @ vals[:, :, j, None]
+                     for i, j in pairs]
         # the frame's left singular vectors, cut as lstsq cuts by default
         U, sv, _ = np.linalg.svd(vals, full_matrices=False)
         cut = _rank(sv, np.finfo(float).eps * max(n, l))
         U = U * (np.arange(sv.shape[1]) < cut[:, None])[:, None, :]
-        for i, j in itertools.combinations(range(l), 2):
-            bracket = DX[:, j] @ vals[:, :, i, None] - DX[:, i] @ vals[:, :, j, None]
-            gap = bracket - U @ (U.mT @ bracket)
-            size = np.maximum(1.0, np.linalg.norm(bracket, axis=(1, 2)))
+        for term in terms:
+            gap = term - U @ (U.mT @ term)
+            size = np.maximum(1.0, np.linalg.norm(term, axis=(1, 2)))
             frob = np.maximum(frob, np.linalg.norm(gap, axis=(1, 2)) / size)
     return SubmersionReport(
         _collect("submersion_rank", deficit, points, 0.0, seed),
@@ -258,12 +258,18 @@ def submersion_checks(
     takes X_i = J dF_i, a smooth frame of the symplectic complement, and
     measures the relative least-squares defect of their pairwise Lie
     brackets against the frame, cross-checking the frame against the
-    algebraic complement of the kernel.  The bracket Jacobians DX_i come
-    from a chart-side stencil for a FirstIntegralSubmersion, the exact
-    J Hess F_i for a parsed component, and a phase-space central
-    difference for any other procedural component (_field_jacobians).
-    Probes are checked as stacks; a bracket's defect is its residual off
-    the frame's left singular vectors, cut as lstsq cuts them by default.
+    algebraic complement of the kernel.  A map with components gives the
+    brackets from DX_i = J Hess F_i, exact if parsed, a phase-space central
+    difference if procedural.  A FirstIntegralSubmersion has F o Psi =
+    y_tail on its tower Psi, so [X_i, X_j] = +-J d{F_i, F_j}^T with
+    d{F_i, F_j} = sum_a d_a P_ij (DPsi^-1)[a], P = {F_i, F_j} o Psi.  The
+    tail rows of DPsi^-1 are the dF_m, so the tail terms are frame columns
+    J dF_m, which the projection removes exactly: only the k head
+    directions are differenced (_head_terms), 2k forward passes per probe
+    and no tower solve, never reading lam, which is head-invariant by
+    construction.  Probes are checked as stacks; a bracket's defect is its
+    residual off the frame's left singular vectors, cut as lstsq cuts them
+    by default, over max(1, its norm), the head part's for a constructed F.
     """
     dF = _jacobian_stack(F, points)
     return _geometry(F, dF, points, tolerances, fibration, seed)[0]

@@ -223,18 +223,6 @@ def test_constructed_pipeline_passes_all_checks(harmonic_s2):
     assert report.commutative
 
 
-def test_chart_stencil_matches_phase_space_fd(harmonic_s2):
-    # DX_i = DG_i(y) DPsi(y)^-1 from the chart side against a central
-    # difference of X_i = J dF_i in phase space, which solves the tower
-    # at every stencil point
-    _, _, _, F, _ = harmonic_s2
-    jacobians = verify._field_jacobians(F, TOL)
-    for x in F.sample_points(3, seed=83):
-        for comp, DX in zip(F.integrals.components, jacobians(x)):
-            fd = fd_jacobian(hamiltonian_vf(comp, TOL), x, TOL.fd_step)
-            assert np.max(np.abs(DX - fd)) / max(1.0, np.max(np.abs(DX))) < 1e-5
-
-
 def test_submersion_checks_solve_the_tower_once_per_probe(harmonic_s2, monkeypatch):
     # the Frobenius stencil runs forward passes only; the one solve per
     # probe is the memoized inversion behind dF
@@ -252,38 +240,10 @@ def test_submersion_checks_solve_the_tower_once_per_probe(harmonic_s2, monkeypat
     assert 0 < len(calls) <= len(pts)
 
 
-@dataclasses.dataclass(frozen=True)
-class _Shear:
-    """The chart y -> y + y_a y_b e_c (c not in {a, b}), inverse in closed form."""
-
-    a: int
-    b: int
-    c: int
-    domain_radius: float
-
-    def forward(self, y):
-        z = np.array(y, dtype=float)
-        z[self.c] += z[self.a] * z[self.b]
-        return z
-
-    def forward_and_jacobian(self, y):
-        D = np.eye(len(y))
-        D[self.c, self.a] += y[self.b]
-        D[self.c, self.b] += y[self.a]
-        return self.forward(y), D
-
-    def inverse(self, x, y0=None):
-        y = np.array(x, dtype=float)
-        y[self.c] -= y[self.a] * y[self.b]
-        return y
-
-
-def test_tower_frobenius_control_fails_on_a_sheared_chart():
-    # A constructed F is integrable by construction, so the chart-side
-    # stencil needs a tower that is not.  With l = 3 > s the kernel is a
-    # line, always isotropic, so Frobenius must fail alone.  Appending
-    # y -> y + y0 y1 e2 turns F_2 into y2 - y0 y1, which mixes in the head;
-    # y -> y + y2 y3 e1 only relabels the level sets of F and must pass.
+@pytest.fixture(scope="module")
+def nonflat_s2():
+    """nonflat_cometric_s2 at 10 probes: k = 1 and l = 3 > s, so the kernel
+    is a line, always isotropic, and Frobenius is the check left to fail."""
     cfg = parse_config({"scenario": "nonflat_cometric_s2", "probes": 10})
     m, Pi = np.array(cfg.base_point), cfg.fibration()
     F = build_first_integrals(
@@ -291,18 +251,77 @@ def test_tower_frobenius_control_fails_on_a_sheared_chart():
         cfg.domain_radius, probes=cfg.probes, seed=cfg.seed,
     )
     assert (F.k, F.l) == (1, 3)
+    return F, Pi
+
+
+def test_stencil_makes_2k_forward_passes_per_probe(harmonic_s2, nonflat_s2, monkeypatch):
+    # once dF is built (one memoized solve and forward pass per probe), the
+    # Frobenius stencil differences the bracket matrix along the k heads
+    # only: 2k forward passes per probe, not 2n = 8
+    counts = {}
+    _count_calls(monkeypatch, ChartTower, "forward_and_jacobian", counts)
+    cases = [(harmonic_s2[3], harmonic_s2[1], 4), (nonflat_s2[0], nonflat_s2[1], 2)]
+    for F, Pi, per_probe in cases:
+        assert per_probe == 2 * F.k
+        pts = F.sample_points(5, seed=97)
+        for x in pts:
+            F.integrals.jacobian(x)
+        counts.clear()
+        assert submersion_checks(F, pts, fibration=Pi).passed
+        assert counts == {"forward_and_jacobian": per_probe * len(pts)}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Shear:
+    """The chart y -> y + eps y_a y_b e_c (c not in {a, b}), inverse in
+    closed form."""
+
+    a: int
+    b: int
+    c: int
+    domain_radius: float
+    eps: float = 1.0
+
+    def forward(self, y):
+        z = np.array(y, dtype=float)
+        z[self.c] += self.eps * z[self.a] * z[self.b]
+        return z
+
+    def forward_and_jacobian(self, y):
+        D = np.eye(len(y))
+        D[self.c, self.a] += self.eps * y[self.b]
+        D[self.c, self.b] += self.eps * y[self.a]
+        return self.forward(y), D
+
+    def inverse(self, x, y0=None):
+        y = np.array(x, dtype=float)
+        y[self.c] -= self.eps * y[self.a] * y[self.b]
+        return y
+
+
+def _sheared(F, a, b, c, eps=1.0):
+    """F rebuilt on its tower with _Shear(a, b, c, eps) appended."""
     tower = F.state.tower
-    radius = min(c.domain_radius for c in tower.charts)
+    radius = min(chart.domain_radius for chart in tower.charts)
+    sheared_tower = dataclasses.replace(
+        tower, charts=tower.charts + (_Shear(a, b, c, radius, eps),)
+    )
+    index = TowerIndex(sheared_tower)
+    integrals = MapField(_integral_components(index, F.k, 2), 2)
+    state = dataclasses.replace(F.state, tower=sheared_tower)
+    return dataclasses.replace(F, integrals=integrals, state=state, index=index)
+
+
+def test_tower_frobenius_control_fails_on_a_sheared_chart(nonflat_s2):
+    # A constructed F is integrable by construction, so the chart-side
+    # stencil needs a tower that is not.  With l = 3 > s the kernel is a
+    # line, always isotropic, so Frobenius must fail alone.  Appending
+    # y -> y + y0 y1 e2 turns F_2 into y2 - y0 y1, which mixes in the head;
+    # y -> y + y2 y3 e1 only relabels the level sets of F and must pass.
+    F, Pi = nonflat_s2
 
     def sheared(a, b, c):
-        sheared_tower = dataclasses.replace(
-            tower, charts=tower.charts + (_Shear(a, b, c, radius),)
-        )
-        index = TowerIndex(sheared_tower)
-        integrals = MapField(_integral_components(index, F.k, 2), 2)
-        state = dataclasses.replace(F.state, tower=sheared_tower)
-        G = dataclasses.replace(F, integrals=integrals, state=state, index=index)
-        return submersion_checks(G, F.points, fibration=Pi)
+        return submersion_checks(_sheared(F, a, b, c), F.points, fibration=Pi)
 
     bad = sheared(0, 1, 2)
     assert bad.rank.passed and bad.kernel_gram.passed
@@ -312,6 +331,52 @@ def test_tower_frobenius_control_fails_on_a_sheared_chart():
     relabelled = sheared(2, 3, 1)
     assert relabelled.passed
     assert relabelled.frobenius.max_residual < 1e-8
+
+
+def _chart_stencil_defect(F, points):
+    """The Frobenius bracket defect of a constructed F as the checks took
+    it before the head stencil, as (worst gap, worst gap / max(1, |bracket|)).
+
+    DX_i = DG_i(y) DPsi(y)^-1 with G_i(y) = J (DPsi(y)^-1)[k + i], G
+    differenced over all 2s chart coordinates (4s forward passes per
+    probe); each full bracket [X_i, X_j] is held against the frame
+    X_i = J dF_i by lstsq, its residual the gap."""
+    tower, k, n = F.state.tower, F.k, 2 * F.dimension_s
+
+    def stacked(y):
+        rows = np.linalg.inv(tower.forward_and_jacobian(y)[1])[k:]
+        return np.concatenate([symplectic.apply_structure(r) for r in rows])
+
+    worst_gap, worst = 0.0, 0.0
+    for x in points:
+        entry = F.index.solve(x, need_jacobian=True)
+        DG = fd_jacobian(stacked, entry.coords, TOL.fd_step)
+        DX = [d @ entry.jac_inv for d in DG.reshape(-1, n, n)]
+        vals = symplectic.apply_structure(F.integrals.jacobian(x).T)
+        for i in range(F.l):
+            for j in range(i + 1, F.l):
+                bracket = DX[j] @ vals[:, i] - DX[i] @ vals[:, j]
+                coeff, *_ = np.linalg.lstsq(vals, bracket, rcond=None)
+                gap = np.linalg.norm(vals @ coeff - bracket)
+                worst_gap = max(worst_gap, gap)
+                worst = max(worst, gap / max(1.0, np.linalg.norm(bracket)))
+    return worst_gap, worst
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2])
+def test_head_stencil_matches_the_chart_stencil_on_a_scaled_shear(nonflat_s2, eps):
+    # y -> y + eps y0 y1 e2 breaks integrability by O(eps).  The head
+    # stencil drops only frame columns, so its gap is the full bracket's;
+    # its scale max(1, |head term|) is 1 here, where the full bracket's
+    # frame part can exceed 1, so the check reads the gap at least as
+    # strictly as the chart stencil did
+    F, Pi = nonflat_s2
+    G = _sheared(F, 0, 1, 2, eps)
+    head = submersion_checks(G, F.points, fibration=Pi).frobenius.max_residual
+    gap, defect = _chart_stencil_defect(G, F.points)
+    assert defect > 0.1 * eps
+    assert abs(head - gap) <= 0.1 * gap
+    assert head >= 0.9 * defect
 
 
 def test_parsed_pairs_make_no_finite_differences(monkeypatch):
