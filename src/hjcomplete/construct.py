@@ -26,7 +26,7 @@ difference; integration enters only through chart flows and domains.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -39,6 +39,7 @@ from .newton import NewtonError, newton_solve
 from .symplectic import (
     Subspace,
     VectorField,
+    _kernels,
     _rank,
     classify,
     hamiltonian_vf,
@@ -223,17 +224,13 @@ class ChartTower:
             D = Dj if D is None else Dj @ D
         return eta, D
 
-    def solve_stack(
-        self, x: np.ndarray, guesses: Optional[Sequence[np.ndarray]] = None
-    ) -> list[np.ndarray]:
-        """Coordinates of x at every level, outermost first."""
+    # guesses is ignored; bench/spans.py still passes it
+    def solve_stack(self, x: np.ndarray, guesses=None) -> np.ndarray:
+        """Deepest-level coordinates of x, inverted one chart at a time."""
         eta = np.asarray(x, dtype=float)
-        stack = []
         for j, chart in enumerate(self.charts):
-            y0 = None if guesses is None else guesses[j]
-            eta = _at_level(j, "inversion", chart.inverse, eta, y0)
-            stack.append(eta)
-        return stack
+            eta = _at_level(j, "inversion", chart.inverse, eta)
+        return eta
 
 
 def _at_level(j: int, stage: str, call: Callable, *args):
@@ -269,14 +266,25 @@ def _memo(fn: Callable) -> Callable:
 
 
 @dataclass
-class _TowerEntry:
-    coords: np.ndarray  # deepest-level coordinates
-    jac: Optional[np.ndarray] = None  # D(Psi) at coords
-    jac_inv: Optional[np.ndarray] = None
+class _Inverse:
+    """The coordinates z of a point under an inverted map G; DG(z) and
+    its inverse, whose rows are the coordinate gradients, on first use."""
+
+    coords: np.ndarray
+    jacobian: Callable  # DG
+
+    @cached_property
+    def jac(self) -> np.ndarray:
+        return self.jacobian(self.coords)
+
+    @cached_property
+    def jac_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.jac)
 
 
 class TowerIndex:
-    """Memoized inversion of a chart tower.
+    """Memoized inversion of a chart tower: solve(x) is the _Inverse of x
+    under Psi, so coords are its deepest-level coordinates.
 
     Every chart inverts by flowing its query back to its slice, so the
     coordinates of x depend on x alone.  Solutions are memoized on the
@@ -288,16 +296,14 @@ class TowerIndex:
     def __init__(self, tower: ChartTower):
         self.tower = tower
         self._solved = _memo(lambda x: self._solve_fresh(x))
+        self._jacobian = lambda y: tower.forward_and_jacobian(y)[1]
 
-    def solve(self, x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:
-        entry = self._solved(x)
-        if need_jacobian and entry.jac is None:
-            _, entry.jac = self.tower.forward_and_jacobian(entry.coords)
-            entry.jac_inv = np.linalg.inv(entry.jac)
-        return entry
+    def solve(self, x: np.ndarray) -> _Inverse:
+        return self._solved(x)
 
-    def _solve_fresh(self, x: np.ndarray) -> _TowerEntry:
-        return _TowerEntry(self.tower.solve_stack(x)[-1])
+    # kept apart from solve: bench/spans.py counts the tower solves here
+    def _solve_fresh(self, x: np.ndarray) -> _Inverse:
+        return _Inverse(self.tower.solve_stack(x), self._jacobian)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +463,7 @@ def _lifted_x_field(tower: ChartTower, index: TowerIndex, b: int, dim_s: int) ->
     lam = tower.poissons[-1]
 
     def evaluate(x: np.ndarray):
-        entry = index.solve(x, need_jacobian=True)
+        entry = index.solve(x)
         return entry.jac @ lam(entry.coords)[:, b]
 
     return VectorField(evaluate, dim_s)
@@ -631,19 +637,27 @@ class FirstIntegralSubmersion:
         return np.array([self.state.tower.forward(y) for y in ys])
 
 
-def _integral_components(index, k: int, dim_s: int) -> tuple[ProceduralScalar, ...]:
-    """Components x -> coords[i], i >= k, of index.solve(x), with gradients
-    the rows of its jac_inv; one memoized solve serves all of them."""
+def _integral_components(solve: Callable, k: int, dim_s: int) -> tuple[ProceduralScalar, ...]:
+    """Components x -> coords[i], i >= k, of the _Inverse solve(x), with
+    gradients the rows of its jac_inv; solve is a memoized inversion, such
+    as TowerIndex.solve or a _newton_inverse (integrals_from_solution)."""
     comps = []
     for i in range(k, 2 * dim_s):
         def value(x, i=i):
-            return float(index.solve(x).coords[i])
+            return float(solve(x).coords[i])
 
         def gradient(x, i=i):
-            return index.solve(x, need_jacobian=True).jac_inv[i].copy()
+            return solve(x).jac_inv[i].copy()
 
         comps.append(ProceduralScalar(value, gradient, dim_s))
     return tuple(comps)
+
+
+def _jacobian_stack(F: Union[MapField, FirstIntegralSubmersion], points) -> np.ndarray:
+    """dF at every probe, one evaluation each, as a (P, l, 2s) stack."""
+    integrals = _integrals_map(F)
+    dF = [integrals.jacobian(x) for x in points]
+    return np.array(dF).reshape(len(dF), integrals.target_dim, integrals.dim)
 
 
 def build_first_integrals(
@@ -670,23 +684,22 @@ def build_first_integrals(
         state = extend_frame(state)
 
     index = TowerIndex(state.tower)
-    comps = _integral_components(index, state.k, state.dimension_s)
+    comps = _integral_components(index.solve, state.k, state.dimension_s)
     integrals = MapField(comps, state.dimension_s)
 
     xh = state.fields[0]
     F = FirstIntegralSubmersion(integrals, state, index, {}, np.empty(0))
     points = F.sample_points(probes, seed)
 
-    drift = 0.0
-    transverse = True
-    gram = 0.0
-    for x in points:
-        dF = integrals.jacobian(x)
-        drift = max(drift, float(np.max(np.abs(dF @ xh(x)))))
-        stacked = np.vstack([fibration.jacobian(x), dF])
-        if numerical_rank(stacked, tolerances.rank) != 2 * state.dimension_s:
-            transverse = False
-        gram = max(gram, isotropy_defect(nullspace(dF, tolerances.rank)))
+    # the stacked checks of verify on one dF per probe
+    n, rank_tol = 2 * state.dimension_s, tolerances.rank
+    dF = _jacobian_stack(integrals, points)
+    X = np.array([xh(x) for x in points]).reshape(len(points), n, 1)
+    drift = float(np.max(np.abs(dF @ X), initial=0.0))
+    both = np.concatenate([_jacobian_stack(fibration, points), dF], axis=1)
+    transverse = bool(np.all(numerical_rank(both, rank_tol) == n))
+    kernels = _kernels(dF, rank_tol)
+    gram = max([float(np.max(isotropy_defect(K))) for _, K in kernels], default=0.0)
 
     diagnostics = {
         "flow_drift": drift,
@@ -782,7 +795,7 @@ class CompleteSolution:
     lambda_box: np.ndarray  # (l, 2)
     _evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     _jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    label: str = ""
+    label: str = ""  # read by nothing; bench/workloads.py perturb() still sets it
 
     @property
     def k(self) -> int:
@@ -802,18 +815,16 @@ class CompleteSolution:
         )
 
     def __call__(self, n, lam) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        lam = np.asarray(lam, dtype=float)
-        if not self.in_domain(n, lam):
-            raise DomainBoxError("(n, lambda) outside the validated domain boxes")
-        return self._evaluator(n, lam)
+        return self._evaluator(*self._checked(n, lam))
 
     def jacobian(self, n, lam) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        lam = np.asarray(lam, dtype=float)
+        return self._jacobian(*self._checked(n, lam))
+
+    def _checked(self, n, lam) -> tuple[np.ndarray, np.ndarray]:
+        n, lam = np.asarray(n, dtype=float), np.asarray(lam, dtype=float)
         if not self.in_domain(n, lam):
             raise DomainBoxError("(n, lambda) outside the validated domain boxes")
-        return self._jacobian(n, lam)
+        return n, lam
 
     def sample_domain(self, count: int, seed: int = 0, margin: float = 1.0):
         """Seeded (n, lam) samples across the boxes; margin < 1 shrinks
@@ -827,11 +838,11 @@ class CompleteSolution:
 
     @classmethod
     def from_callables(
-        cls, evaluator, jacobian, dimension_s: int, n_box, lambda_box, label: str = ""
+        cls, evaluator, jacobian, dimension_s: int, n_box, lambda_box
     ) -> "CompleteSolution":
         n_box = np.asarray(n_box, dtype=float).reshape(-1, 2)
         lambda_box = np.asarray(lambda_box, dtype=float).reshape(-1, 2)
-        return cls(dimension_s, n_box, lambda_box, evaluator, jacobian, label)
+        return cls(dimension_s, n_box, lambda_box, evaluator, jacobian)
 
 
 _MIN_BOX_EDGE = 1e-3
@@ -884,24 +895,29 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
     return solve, AB[:, :k], np.concatenate([pi_m, np.zeros(dim - k)]), 0.5 * span
 
 
+def _newton_inverse(G: Callable, DG: Callable, start, tol: float, role: str) -> Callable:
+    """target -> the _Inverse of z solving G(z) = target by newton_solve
+    from start: a pure function of the target, for _memo to wrap.  The
+    Newton inversion of the duality, S from analytic (Pi, F) and F from S."""
+
+    def invert(target: np.ndarray) -> _Inverse:
+        z = newton_solve(lambda z: G(z) - target, DG, start, tol=tol, role=role)
+        return _Inverse(z, DG)
+
+    return invert
+
+
 def _stacked_inverse(fibration: MapField, integrals: MapField, m, tol):
     """Newton on the stacked map (Pi, F) from m; returns as _tower_inverse."""
-
-    def value(x: np.ndarray) -> np.ndarray:
-        return np.concatenate([fibration.value(x), integrals.value(x)])
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return np.vstack([fibration.jacobian(x), integrals.jacobian(x)])
+    G = MapField((*fibration.components, *integrals.components), fibration.dimension_s)
+    invert = _newton_inverse(G.value, G.jacobian, m, tol.newton, "S stacked Newton")
 
     def solve(n: np.ndarray, lam: np.ndarray):
-        target = np.concatenate([n, lam])
-        x = newton_solve(
-            lambda x: value(x) - target, jac, m, tol=tol.newton, role="S stacked Newton"
-        )
-        return x, np.linalg.inv(jac(x))
+        entry = invert(np.concatenate([n, lam]))
+        return entry.coords, entry.jac_inv
 
-    center = value(m)
-    return solve, jac(m), center, 0.15 * (1.0 + np.abs(center))
+    center = G.value(m)
+    return solve, G.jacobian(m), center, 0.15 * (1.0 + np.abs(center))
 
 
 def solution_from_integrals(
@@ -966,7 +982,6 @@ def solution_from_integrals(
         lam_box,
         lambda n, lam: solved(n, lam)[0].copy(),
         lambda n, lam: solved(n, lam)[1].copy(),
-        label="inverted (fibration, integrals)",
     )
 
 
@@ -974,33 +989,18 @@ def integrals_from_solution(
     solution: CompleteSolution,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> MapField:
-    """Read first integrals off a complete solution.
-
-    Components are the lambda-parameters of the Newton inversion of the
-    solution map; gradients come from the inverse Jacobian.  Each solve is
-    query-seeded from the box midpoint and memoized, so all components at
-    a point share one solve and one inverse.
-    """
-    s = solution.dimension_s
-    k = solution.k
+    """Read first integrals off a complete solution: F(x) is the lam part
+    of (n, lam) = S^{-1}(x), dF the lam rows of DS^{-1}, by the tower's
+    _integral_components over a memoized _newton_inverse of S from the box
+    midpoint.  F is a pure function of x; one Newton solve serves every
+    component's value and gradient at a point."""
+    s, k = solution.dimension_s, solution.k
     mid = np.vstack([solution.n_box, solution.lambda_box]).mean(axis=1)
-
     # Newton trial steps may leave the validated boxes briefly, so the
     # box-checked public interface is bypassed here.
-    @_memo
-    def invert(x: np.ndarray) -> _TowerEntry:
-        return _TowerEntry(newton_solve(
-            lambda y: solution._evaluator(y[:k], y[k:]) - x,
-            lambda y: solution._jacobian(y[:k], y[k:]),
-            mid,
-            tol=tolerances.newton, role="F from S Newton",
-        ))
-
-    def solve(x: np.ndarray, need_jacobian: bool = False) -> _TowerEntry:
-        entry = invert(x)
-        if need_jacobian and entry.jac_inv is None:
-            y = entry.coords
-            entry.jac_inv = np.linalg.inv(solution._jacobian(y[:k], y[k:]))
-        return entry
-
-    return MapField(_integral_components(SimpleNamespace(solve=solve), k, s), s)
+    solve = _memo(_newton_inverse(
+        lambda y: solution._evaluator(y[:k], y[k:]),
+        lambda y: solution._jacobian(y[:k], y[k:]),
+        mid, tolerances.newton, "F from S Newton",
+    ))
+    return MapField(_integral_components(solve, k, s), s)

@@ -302,8 +302,8 @@ class FlowBoxChart:
         D[:, self.axis] = self.field(x)
         return x, D
 
-    def inverse(self, p, y0=None) -> np.ndarray:
-        """Chart coordinates of p, a pure function of p; y0 is ignored.
+    def inverse(self, p) -> np.ndarray:
+        """Chart coordinates of p, a pure function of p.
 
         Newton in the slice time t flows p back along X to the slice:
         g = c.(x - m) has derivative w = c.X(x) along X, so each step flows

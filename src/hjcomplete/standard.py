@@ -147,6 +147,8 @@ def verify_characteristic(
     The classical equation asks H composed with the gradient to be
     constant in q; the report carries the worst drift from the value at
     the anchor point over probes in the central 90% of the position box.
+    A failure of S at a probe is re-raised as itself, its message naming
+    the check, the probe, q and lam.
     """
     box = W.solution.n_box
     mid = box.mean(axis=1)
@@ -154,11 +156,16 @@ def verify_characteristic(
     rng = np.random.default_rng(seed)
     qs = mid + rng.uniform(-1.0, 1.0, size=(probes, box.shape[0])) * half
 
-    def energy(q: np.ndarray) -> float:
-        return hamiltonian.value(np.concatenate([q, W.section(q)]))
-
-    ref = energy(W.q0)
-    residuals = [abs(energy(q) - ref) for q in qs]
+    ref = hamiltonian.value(np.concatenate([W.q0, W.section(W.q0)]))
+    residuals = []
+    for i, q in enumerate(qs):
+        try:  # only S runs here
+            p = W.section(q)
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
+            at = f"q={q.tolist()}, lambda={W.lam.tolist()}"
+            exc.args = (f"characteristic_constancy probe {i + 1} of {probes} at {at}: {exc}",)
+            raise
+        residuals.append(abs(hamiltonian.value(np.concatenate([q, p])) - ref))
     return _collect("characteristic_constancy", residuals, qs, _CONSTANCY_TOL, seed)
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .construct import CompleteSolution, FirstIntegralSubmersion, _integrals_map
+from .construct import CompleteSolution, FirstIntegralSubmersion, _jacobian_stack
 from .expr import MapField, ScalarField
 from .symplectic import (
     _classes,
@@ -141,13 +141,6 @@ def isotropy_residual(
     return _collect("isotropy_residual", residuals, points, tolerances.residual, seed)
 
 
-def _jacobian_stack(F: MapLike, points: np.ndarray) -> np.ndarray:
-    """dF at every probe, one evaluation each, as a (P, l, 2s) stack."""
-    integrals = _integrals_map(F)
-    dF = [integrals.jacobian(x) for x in points]
-    return np.array(dF).reshape(len(dF), integrals.target_dim, integrals.dim)
-
-
 def _drift(dF, hamiltonian, points, tolerances, seed) -> ResidualReport:
     xh = hamiltonian_vf(hamiltonian, tolerances)
     X = np.array([xh(x) for x in points]).reshape(dF.shape[0], dF.shape[2], 1)
@@ -186,7 +179,7 @@ def _head_terms(F: FirstIntegralSubmersion, x, tolerances: Tolerances) -> np.nda
     d_a P is a central difference over 2k forward passes at x's memoized
     chart coordinates, DPsi read off each pass (submersion_checks)."""
     tower, k = F.state.tower, F.k
-    entry = F.index.solve(x, need_jacobian=True)
+    entry = F.index.solve(x)
 
     def brackets(head: np.ndarray) -> np.ndarray:
         y = np.concatenate([head, entry.coords[k:]])
@@ -215,8 +208,7 @@ def _geometry(F, dF, points, tolerances, fibration, seed):
             iso, coiso, _ = _classes(K[sub], C, tol)
             lagrangian &= bool(np.all(iso & coiso))
     if fibration is not None:
-        DPi = np.array([fibration.jacobian(x) for x in points])
-        both = np.concatenate([DPi.reshape(P, fibration.target_dim, n), dF], axis=1)
+        both = np.concatenate([_jacobian_stack(fibration, points), dF], axis=1)
         deficit = np.maximum(deficit, n - numerical_rank(both, tol))
     if l > 1:
         pairs = list(itertools.combinations(range(l), 2))

@@ -165,7 +165,7 @@ def test_construct_reports_failed_self_verification(tmp_path, monkeypatch, capsy
     # which only the build's own probe check can catch
     components = construct._integral_components
 
-    def drifting(index, k, dim_s):
+    def drifting(solve, k, dim_s):
         e0 = np.eye(2 * dim_s)[0]
         return tuple(
             ProceduralScalar(
@@ -173,7 +173,7 @@ def test_construct_reports_failed_self_verification(tmp_path, monkeypatch, capsy
                 lambda x, c=c: c.gradient(x) + 1e-3 * e0,
                 dim_s,
             )
-            for c in components(index, k, dim_s)
+            for c in components(solve, k, dim_s)
         )
 
     monkeypatch.setattr(construct, "_integral_components", drifting)

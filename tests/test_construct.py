@@ -11,6 +11,7 @@ from hjcomplete import construct, flows, newton, scenarios, symplectic, verify
 from hjcomplete.config import DEFAULT_TOLERANCES, Tolerances
 from hjcomplete.construct import (
     CompleteSolution,
+    ConstructionError,
     DomainBoxError,
     DualityError,
     FibrationError,
@@ -31,7 +32,7 @@ from hjcomplete.construct import (
     integrals_from_solution,
     solution_from_integrals,
 )
-from hjcomplete.expr import MapField, ScalarField
+from hjcomplete.expr import MapField, ProceduralScalar, ScalarField
 from hjcomplete.flows import flow
 from hjcomplete.newton import NewtonError
 from hjcomplete.symplectic import (
@@ -216,7 +217,7 @@ def test_tower_coordinate_differential_is_inverse_jacobian_row(harmonic_s2):
     rng = np.random.default_rng(17)
     for _ in range(3):
         x, D = tower.forward_and_jacobian(rng.uniform(-radius, radius, size=4))
-        dy = index.solve(x, need_jacobian=True).jac_inv
+        dy = index.solve(x).jac_inv
         assert np.max(np.abs(dy @ D - np.eye(4))) < 1e-8
 
 
@@ -225,7 +226,7 @@ def test_lifted_field_is_hamiltonian_field_of_coordinate(harmonic_s2):
     _, _, _, F, _ = harmonic_s2
     tower, index = F.state.tower, F.index
     for x in F.sample_points(3, seed=19):
-        dy = index.solve(x, need_jacobian=True).jac_inv
+        dy = index.solve(x).jac_inv
         for b in range(4):
             lifted = _lifted_x_field(tower, index, b, 2)
             assert np.max(np.abs(lifted(x) - apply_structure(dy[b]))) < 1e-8
@@ -239,7 +240,7 @@ def test_integrals_are_independent_of_query_order(harmonic_s2):
 
     def evaluate(order):
         index = TowerIndex(F.state.tower)
-        integrals = MapField(_integral_components(index, F.k, 2), 2)
+        integrals = MapField(_integral_components(index.solve, F.k, 2), 2)
         return {i: (integrals.value(points[i]), integrals.jacobian(points[i]))
                 for i in order}
 
@@ -635,7 +636,7 @@ def test_integrals_run_no_newton_solve(harmonic_s2, monkeypatch):
     counts = {}
     for owner in (newton, construct):
         _count_calls(monkeypatch, owner, "newton_solve", counts)
-    integrals = MapField(_integral_components(TowerIndex(F.state.tower), F.k, 2), 2)
+    integrals = MapField(_integral_components(TowerIndex(F.state.tower).solve, F.k, 2), 2)
     for x in F.sample_points(4, seed=71):
         integrals.value(x)
         integrals.jacobian(x)
@@ -927,6 +928,121 @@ def test_integrals_from_solution_recover_energy():
         assert F.value(x)[0] == pytest.approx((x[0] ** 2 + x[1] ** 2) / 2.0, abs=1e-8)
         grad = F.jacobian(x)[0]
         assert np.max(np.abs(grad - x)) < 1e-6  # dH = (q, p)
+
+
+def _parent_integrals_from_solution(solution):
+    """The inversion integrals_from_solution made before it shared
+    _newton_inverse: newton_solve from the box midpoint, then the inverse
+    of the solution Jacobian at the root."""
+    k = solution.k
+    mid = np.vstack([solution.n_box, solution.lambda_box]).mean(axis=1)
+
+    def invert(x):
+        y = newton.newton_solve(
+            lambda y: solution._evaluator(y[:k], y[k:]) - x,
+            lambda y: solution._jacobian(y[:k], y[k:]),
+            mid,
+            tol=TOL.newton,
+        )
+        return y[k:], np.linalg.inv(solution._jacobian(y[:k], y[k:]))[k:]
+
+    return invert
+
+
+def _oscillator_points(count, seed):
+    solution = _analytic_oscillator_solution()
+    ns, lams = solution.sample_domain(count, seed=seed, margin=0.9)
+    return [solution(n, lam) for n, lam in zip(ns, lams)]
+
+
+def test_integrals_from_solution_match_the_parent_inversion_bitwise():
+    solution = _analytic_oscillator_solution()
+    F = integrals_from_solution(solution)
+    oracle = _parent_integrals_from_solution(solution)
+    for x in _oscillator_points(8, seed=41):
+        value, gradient = oracle(x)
+        assert np.array_equal(F.value(x), value)
+        assert np.array_equal(F.jacobian(x), gradient)
+
+
+def test_integrals_from_solution_are_independent_of_query_order():
+    solution = _analytic_oscillator_solution()
+    points = _oscillator_points(8, seed=43)
+
+    def evaluate(order):
+        F = integrals_from_solution(solution)
+        return {i: (F.value(points[i]), F.jacobian(points[i])) for i in order}
+
+    forward = evaluate(range(8))
+    backward = evaluate(reversed(range(8)))
+    for i in range(8):
+        assert np.array_equal(forward[i][0], backward[i][0])
+        assert np.array_equal(forward[i][1], backward[i][1])
+
+
+def test_integrals_from_solution_make_one_newton_solve_per_point(monkeypatch):
+    # the value and the gradient at a point share one memoized inversion
+    F = integrals_from_solution(_analytic_oscillator_solution())
+    counts = {}
+    _count_calls(monkeypatch, construct, "newton_solve", counts)
+    points = _oscillator_points(3, seed=47)
+    for x in points:
+        F.value(x)
+        F.jacobian(x)
+        F.value(x)
+    assert counts == {"newton_solve": len(points)}
+
+
+def _build_with_gradients(monkeypatch, gradients):
+    """free_particle_s2 built with integrals whose gradients are the given
+    fields of x = (q1, q2, p1, p2); the build checks dF only."""
+    monkeypatch.setattr(
+        construct,
+        "_integral_components",
+        lambda solve, k, dim_s: tuple(
+            ProceduralScalar(lambda x: 0.0, g, dim_s) for g in gradients
+        ),
+    )
+    with pytest.raises(ConstructionError) as info:
+        build_first_integrals(
+            FREE_S2, MapField.from_sources(("q1", "q2"), 2), [0.1, -0.2, 1.0, 0.6],
+            probes=6, seed=0,
+        )
+    return info.value
+
+
+def test_build_reports_a_transversality_failure(monkeypatch):
+    # dF = (dH, p1 dq2 - p2 dq1) annihilates X_H = (p, 0) and has the
+    # Lagrangian kernel span{X_H, (0, 0, -p2, p1)}, which meets the fibre
+    # of (q1, q2): only the rank of (dPi, dF) fails
+    error = _build_with_gradients(monkeypatch, (
+        lambda x: np.array([0.0, 0.0, x[2], x[3]]),
+        lambda x: np.array([-x[3], x[2], 0.0, 0.0]),
+    ))
+    assert str(error) == (
+        "constructed integrals failed verification: "
+        "transversality rank failed at a probe"
+    )
+    assert error.diagnostics["transversality"] is False
+    assert error.diagnostics["flow_drift"] == 0.0
+    assert error.diagnostics["kernel_gram"] < 1e-12
+
+
+def test_build_reports_a_non_isotropic_kernel(monkeypatch):
+    # dF = (dp1, p2 dq1 - p1 dq2 + dp2) annihilates X_H and is transverse to
+    # (q1, q2), but its kernel holds X_H and (1, 0, 0, -p2), which pair to
+    # -p2^2 under omega: only the kernel isotropy gram fails
+    error = _build_with_gradients(monkeypatch, (
+        lambda x: np.array([0.0, 0.0, 1.0, 0.0]),
+        lambda x: np.array([x[3], -x[2], 0.0, 1.0]),
+    ))
+    gram = error.diagnostics["kernel_gram"]
+    assert str(error) == (
+        f"constructed integrals failed verification: kernel isotropy gram {gram:.3e}"
+    )
+    assert gram > 0.1
+    assert error.diagnostics["transversality"] is True
+    assert error.diagnostics["flow_drift"] == 0.0
 
 
 def test_analytic_integrals_invert_to_a_solution():

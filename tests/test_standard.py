@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from hjcomplete import standard
 from hjcomplete.construct import CompleteSolution, DomainBoxError
 from hjcomplete.expr import ScalarField
+from hjcomplete.newton import NewtonError
 from hjcomplete.standard import (
     CharacteristicFunction,
     QuadratureError,
@@ -187,6 +188,29 @@ def test_jump_in_the_section_raises_quadrature_error():
         match=r"did not settle on \[0\.\d+, 0\.\d+\]: K15 and G7 differ by \d",
     ):
         W.value([0.9])
+
+
+def test_failing_section_names_the_constancy_probe():
+    # S fails on q > 0.8; verify.py's checks name their probe the same way
+    def evaluator(n, lam):
+        if n[0] > 0.8:
+            raise NewtonError("S head Newton: iteration stalled", 1e-3, 6)
+        return np.array([n[0], lam[0]])
+
+    solution = CompleteSolution.from_callables(
+        evaluator, lambda n, lam: np.eye(2), 1, [[-1.0, 1.0]], [[0.5, 1.5]]
+    )
+    W = characteristic_function(solution, [1.2], [0.0])
+    qs = 0.0 + np.random.default_rng(4).uniform(-1.0, 1.0, size=(10, 1)) * 0.9
+    first = int(np.flatnonzero(qs[:, 0] > 0.8)[0])
+    with pytest.raises(NewtonError) as info:
+        verify_characteristic(W, ScalarField.parse("p1^2/2", 1), probes=10, seed=4)
+    assert str(info.value) == (
+        f"characteristic_constancy probe {first + 1} of 10 at "
+        f"q={qs[first].tolist()}, lambda=[1.2]: S head Newton: iteration "
+        "stalled (residual 1.000e-03 after 6 iterations)"
+    )
+    assert info.value.iterations == 6  # re-raised as itself
 
 
 def test_characteristic_requires_position_projection():

@@ -8,23 +8,38 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Installs bench/spans.py on a fresh import of the package, builds the
-# two-level free_particle_s2 tower at a few probes, and prints two of the
-# per-layer figures.  -B keeps the run from writing bytecode.
-_SCRIPT = """
+# two-level free_particle_s2 tower at a few probes and its complete
+# solution, makes one S query and one F query (value and gradient), and
+# prints the per-layer figures that each pass through a wrapped entry
+# point.  -B keeps the run from writing bytecode.
+_NAMES = (
+    "flows.chart_builds",
+    "flows.trajectories",
+    "flows.chart_inverse_calls",
+    "construct.tower_solves",
+    "construct.tower_memo_hits",
+    "newton.duality.solves",
+)
+_SCRIPT = f"""
 import json
-from hjcomplete import build_first_integrals, scenarios
+from hjcomplete import build_first_integrals, scenarios, solution_from_integrals
 import spans
 
 tracer = spans.Tracer()
 spans.install(tracer)
-cfg = scenarios.parse_config({"scenario": "free_particle_s2"})
-build_first_integrals(
-    cfg.hamiltonian(), cfg.fibration(), cfg.base_point, cfg.tolerances,
+cfg = scenarios.parse_config({{"scenario": "free_particle_s2"}})
+Pi = cfg.fibration()
+F = build_first_integrals(
+    cfg.hamiltonian(), Pi, cfg.base_point, cfg.tolerances,
     cfg.integrator_settings(), cfg.domain_radius, probes=3, seed=0,
 )
+solution = solution_from_integrals(Pi, F, cfg.base_point, cfg.tolerances, seed=0)
+ns, lams = solution.sample_domain(1, seed=1, margin=0.5)
+x = solution(ns[0], lams[0])
+F.integrals.value(x)
+F.integrals.jacobian(x)
 metrics = spans.layer_metrics(tracer)
-names = ("flows.chart_builds", "flows.trajectories")
-print(json.dumps({name: metrics[name][1] for name in names}))
+print(json.dumps({{name: metrics[name][1] for name in {_NAMES!r}}}))
 """
 
 
@@ -44,4 +59,6 @@ def test_tracer_installs_and_counts_a_two_level_build():
     assert done.returncode == 0, done.stderr
     figures = json.loads(done.stdout.strip().splitlines()[-1])
     assert figures["flows.chart_builds"] == 2
-    assert figures["flows.trajectories"] > 0
+    # a count that reads 0 means a call bypassed its wrapped entry point
+    for name in _NAMES[1:]:
+        assert figures[name] > 0, name

@@ -307,7 +307,7 @@ def _sheared(F, a, b, c, eps=1.0):
         tower, charts=tower.charts + (_Shear(a, b, c, radius, eps),)
     )
     index = TowerIndex(sheared_tower)
-    integrals = MapField(_integral_components(index, F.k, 2), 2)
+    integrals = MapField(_integral_components(index.solve, F.k, 2), 2)
     state = dataclasses.replace(F.state, tower=sheared_tower)
     return dataclasses.replace(F, integrals=integrals, state=state, index=index)
 
@@ -349,7 +349,7 @@ def _chart_stencil_defect(F, points):
 
     worst_gap, worst = 0.0, 0.0
     for x in points:
-        entry = F.index.solve(x, need_jacobian=True)
+        entry = F.index.solve(x)
         DG = fd_jacobian(stacked, entry.coords, TOL.fd_step)
         DX = [d @ entry.jac_inv for d in DG.reshape(-1, n, n)]
         vals = symplectic.apply_structure(F.integrals.jacobian(x).T)
