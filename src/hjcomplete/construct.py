@@ -853,23 +853,22 @@ def _integrals_map(F: Union[MapField, FirstIntegralSubmersion]) -> MapField:
     return F.integrals if isinstance(F, FirstIntegralSubmersion) else F
 
 
-def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed):
+def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol):
     """S(n, lam) = Psi(h, lam), where the head h solves Pi(Psi(h, lam)) = n.
 
-    The start h0 = A0^{-1} (n - Pi(m) - B0 lam), from [A0 | B0] = DPi(m)
-    DPsi(0) at Psi(0) = m, depends on the query alone; DS = DPsi M^{-1}
-    with M = [DPi DPsi ; 0 | I].  Returns solve(n, lam) -> (S, DS), the
-    block A0 that must be regular, the box centre and initial half-edges.
+    [A0 | B0] = DPi(m) DPsi(0) starts, gates and sizes S: the start h0 =
+    A0^{-1} (n - Pi(m) - B0 lam) depends on the query alone, A0 must be
+    regular, and the half-edges, rho sum_j |[A0 | B0]_ij| for n_i and rho
+    for lam_j with rho = 0.4 x the least chart radius r, are half the corner
+    bound of the linearized reach of (Pi o Psi, y_tail) over |y| <= 0.8 r.
+    DS = DPsi M^{-1}, M = [DPi DPsi ; 0 | I].  Returns solve(n, lam) ->
+    (S, DS), A0, the box centre (Pi(m), 0) and the half-edges.
     """
     tower, k, dim = F.state.tower, F.k, 2 * F.dimension_s
     AB = fibration.jacobian(m) @ tower.forward_and_jacobian(np.zeros(dim))[1]
     pi_m = fibration.value(m)
-    # F(Psi(y)) = y_tail, so the reach over the chart ball needs no inversion.
-    radius = 0.8 * min(c.domain_radius for c in tower.charts)
-    span = np.zeros(dim)
-    for y in np.random.default_rng(seed ^ 0x5EED).uniform(-radius, radius, (32, dim)):
-        reach = np.concatenate([fibration.value(tower.forward(y)) - pi_m, y[k:]])
-        span = np.maximum(span, np.abs(reach))
+    rho = 0.4 * min(c.domain_radius for c in tower.charts)
+    half = rho * np.concatenate([np.abs(AB).sum(axis=1), np.ones(dim - k)])
 
     def solve(n: np.ndarray, lam: np.ndarray):
         # one chart pass per iterate serves both the residual and the Jacobian
@@ -882,7 +881,7 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
         def residual(h: np.ndarray) -> np.ndarray:
             try:
                 return fibration.value(chart(h)[0]) - n
-            except FlowError:  # Newton halves a trial step the chart cannot reach
+            except (ChartError, FlowError):  # Newton halves a step the chart refuses
                 return np.full(k, np.nan)
 
         h0 = np.linalg.solve(AB[:, :k], n - pi_m - AB[:, k:] @ lam)
@@ -892,7 +891,7 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol, seed
         M = np.vstack([fibration.jacobian(x) @ D, np.eye(dim)[k:]])
         return x, D @ np.linalg.inv(M)
 
-    return solve, AB[:, :k], np.concatenate([pi_m, np.zeros(dim - k)]), 0.5 * span
+    return solve, AB[:, :k], np.concatenate([pi_m, np.zeros(dim - k)]), half
 
 
 def _newton_inverse(G: Callable, DG: Callable, start, tol: float, role: str) -> Callable:
@@ -933,19 +932,19 @@ def solution_from_integrals(
     chart tower Psi, so S(n, lam) = Psi(h, lam) takes one k-dimensional
     Newton solve for the head h and no tower inversion.  An analytic map
     is inverted by Newton iteration on the stacked map.  Every solve is
-    query-seeded, so S is a pure function of (n, lam).  Domain boxes start
-    from the image of the construction chart (or a unit-scale default for
-    analytic inputs) and are halved until every validation probe
-    converges; shrinking below the minimum edge is an error.
+    query-seeded, so S is a pure function of (n, lam).  A constructed F's
+    boxes start at (Pi(m), 0) +- rho (|A0| + |B0|) 1 for n, +- rho for lam
+    (_tower_inverse); analytic ones at a unit-scale default.  Boxes halve
+    until S converges at every validation probe, which seed alone picks;
+    shrinking below the minimum edge is an error.
     """
     m = np.asarray(basepoint, dtype=float)
     integrals = _integrals_map(F)
-    s = integrals.dimension_s
-    k = fibration.target_dim
+    s, k = integrals.dimension_s, fibration.target_dim
     if k + integrals.target_dim != 2 * s:
         raise ValueError("fibration and integrals must jointly have 2s components")
     if isinstance(F, FirstIntegralSubmersion):
-        solve, J0, center, half = _tower_inverse(fibration, F, m, tolerances, seed)
+        solve, J0, center, half = _tower_inverse(fibration, F, m, tolerances)
     else:
         solve, J0, center, half = _stacked_inverse(fibration, integrals, m, tolerances)
     if numerical_rank(J0, tolerances.rank) != J0.shape[0]:
@@ -954,10 +953,10 @@ def solution_from_integrals(
         )
     half = np.maximum(half, _MIN_BOX_EDGE / 2.0)
 
-    # Validate by probing the box; halve on any failure.
-    rng = np.random.default_rng(seed)
-    probe_dirs = rng.uniform(-1.0, 1.0, size=(_VALIDATION_PROBES, 2 * s))
-    probe_dirs[np.abs(probe_dirs) < 0.25] = 0.25  # keep probes near faces
+    # Validate at probes with no coordinate within a quarter edge of the centre
+    # of the box; halve on any failure.
+    u = np.random.default_rng(seed).uniform(-1.0, 1.0, (_VALIDATION_PROBES, 2 * s))
+    probe_dirs = np.copysign(np.maximum(np.abs(u), 0.25), u)
     while True:
         try:
             for probe, d in enumerate(probe_dirs):
@@ -974,12 +973,9 @@ def solution_from_integrals(
                 ) from exc
 
     solved = _memo(solve)  # S and DS at one point share a solve
-    n_box = np.column_stack([center[:k] - half[:k], center[:k] + half[:k]])
-    lam_box = np.column_stack([center[k:] - half[k:], center[k:] + half[k:]])
+    box = np.column_stack([center - half, center + half])
     return CompleteSolution(
-        s,
-        n_box,
-        lam_box,
+        s, box[:k], box[k:],
         lambda n, lam: solved(n, lam)[0].copy(),
         lambda n, lam: solved(n, lam)[1].copy(),
     )

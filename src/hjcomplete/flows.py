@@ -208,7 +208,7 @@ class FlowBoxChart:
 
     PROBE_COUNT = 20
     MIN_RADIUS = 1e-3
-    SLICE_TIME_REACH = 2.0  # bound on an inversion's |slice time|, in radii
+    SLICE_TIME_REACH = 2.0  # bound on a chart map's |slice time|, in radii
 
     @classmethod
     def build(
@@ -274,13 +274,22 @@ class FlowBoxChart:
                 return False
         return True
 
+    def _within_reach(self, t: float, detail: str = "") -> float:
+        """The slice time t, unless |t| passes SLICE_TIME_REACH radii: one rule
+        for forward, forward_and_jacobian and every step of inverse, so no
+        chart flows further from its slice than its inverse may flow back."""
+        if not abs(t) <= self.SLICE_TIME_REACH * self.domain_radius:
+            reach = f"passes {self.SLICE_TIME_REACH:g} domain radii{detail}"
+            raise ChartError(f"point outside chart domain: slice time {t:.6e} {reach}")
+        return t
+
     def forward(self, y) -> np.ndarray:
         """psi(y): one flow of the field from the slice point m + B y."""
         y = np.asarray(y, dtype=float)
         if y.shape != self.basepoint.shape:
             raise ValueError("chart coordinates have the ambient dimension")
         x = self.basepoint + self.slice_basis @ y
-        t = float(y[self.axis])
+        t = self._within_reach(float(y[self.axis]))
         return _integrate(self.field.evaluate, x, t, self.settings) if t else x
 
     def forward_and_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +302,7 @@ class FlowBoxChart:
         """
         y = np.asarray(y, dtype=float)
         x = self.basepoint + self.slice_basis @ y
-        t = float(y[self.axis])
+        t = self._within_reach(float(y[self.axis]))
         if t:
             x, M = flow_with_tangent(self.field, x, t, self.settings)
             D = M @ self.slice_basis
@@ -307,7 +316,8 @@ class FlowBoxChart:
 
         Newton in the slice time t flows p back along X to the slice:
         g = c.(x - m) has derivative w = c.X(x) along X, so each step flows
-        x back by g / w, unless |t| would pass SLICE_TIME_REACH radii.
+        x back by g / w, cut back to the reach of _within_reach; a step from
+        the reach outward is refused.
         Once |g| meets the Newton tolerance, y = B^T (x - m) with y_r = t.
         """
         x, m, c = np.asarray(p, dtype=float), self.basepoint, self.slice_normal
@@ -320,11 +330,9 @@ class FlowBoxChart:
                 return y
             w = float(c @ self.field.evaluate(x))
             step = g / w if w else math.inf
-            if not abs(t + step) <= reach:
-                raise ChartError(
-                    f"point outside chart domain: slice time {t + step:.6e} "
-                    f"passes {self.SLICE_TIME_REACH:g} domain radii (c.X = {w:.3e})"
-                )
+            if abs(t) < reach < abs(t + step) < math.inf:  # an overshoot stops at the reach
+                step = math.copysign(reach, t + step) - t
+            self._within_reach(t + step, f" (c.X = {w:.3e})")
             x = _integrate(self.field.evaluate, x, -step, self.settings)
             t += step
         raise ChartError(f"point outside chart domain: |g| {abs(g):.3e} after 50 steps")

@@ -1,11 +1,13 @@
 """Frame extension, first integrals, fibration choice, and the duality."""
 
 import dataclasses
+import itertools
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hjcomplete import construct, flows, newton, scenarios, symplectic, verify
 from hjcomplete.config import DEFAULT_TOLERANCES, Tolerances
@@ -44,7 +46,12 @@ from hjcomplete.symplectic import (
     omega,
     structure_matrix,
 )
-from hjcomplete.verify import hje_residual, isotropy_residual, submersion_checks
+from hjcomplete.verify import (
+    first_integral_residual,
+    hje_residual,
+    isotropy_residual,
+    submersion_checks,
+)
 
 TOL = Tolerances()
 
@@ -848,34 +855,107 @@ def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
 
 
 def test_head_solve_halves_a_step_the_chart_cannot_flow_to(harmonic_s2, monkeypatch):
-    # S's head Newton: a trial point whose chart forward raises FlowError is
-    # a failed trial, so the step halves; a start the chart cannot reach
-    # still raises
+    # S's head Newton: a trial point whose chart forward raises FlowError,
+    # or ChartError for a slice time past the reach, is a failed trial, so
+    # the step halves; a start the chart cannot reach still raises
     _, Pi, m, F, solution = harmonic_s2
-    solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES, 0)[0]
+    solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES)[0]
     n, lam = (c[0] for c in solution.sample_domain(1, seed=5, margin=0.8))
     expected = solve(n, lam)[0]
     forward = construct.ChartTower.forward_and_jacobian
-    heads = []
+    for error in (
+        flows.FlowError("adaptive step underflow at t = -990.9"),
+        flows.ChartError("point outside chart domain: slice time 1.3e+00 passes 2 domain radii"),
+    ):
+        heads = []
 
-    def failing_full_step(self, y):
-        heads.append(tuple(y[: F.k]))
-        if len(heads) == 2:  # h0, then the first full Newton step
-            raise flows.FlowError("adaptive step underflow at t = -990.9")
+        def failing_full_step(self, y):
+            heads.append(tuple(y[: F.k]))
+            if len(heads) == 2:  # h0, then the first full Newton step
+                raise error
+            return forward(self, y)
+
+        monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_full_step)
+        x = solve(n, lam)[0]
+        assert len(set(heads)) == len(heads) > 2
+        assert np.max(np.abs(Pi.value(x) - n)) < 1e-8
+        assert np.max(np.abs(x - expected)) < 1e-8
+
+        def failing_start(self, y):
+            raise error
+
+        monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_start)
+        with pytest.raises(type(error), match=str(error)[:20]):
+            solve(n, lam)
+
+
+@pytest.fixture(scope="module")
+def harmonic_s1():
+    H = ScalarField.parse("(q1^2 + p1^2)/2", 1)
+    Pi = MapField.from_sources(("q1",), 1)
+    m = np.array([0.0, 1.0])
+    return H, Pi, m, build_first_integrals(H, Pi, m, probes=15, seed=0)
+
+
+def _linearized_boxes(Pi, F, m) -> np.ndarray:
+    # (Pi(m), 0) +- rho (|A0| + |B0|) 1 for n and +- rho for lam, with
+    # [A0 | B0] = DPi(m) DPsi(0) and rho = 0.4 x the least chart radius
+    tower, dim = F.state.tower, 2 * F.dimension_s
+    AB = Pi.jacobian(m) @ tower.forward_and_jacobian(np.zeros(dim))[1]
+    rho = 0.4 * min(c.domain_radius for c in tower.charts)
+    half = rho * np.concatenate([np.abs(AB).sum(axis=1), np.ones(dim - F.k)])
+    center = np.concatenate([Pi.value(m), np.zeros(dim - F.k)])
+    return np.column_stack([center - half, center + half])
+
+
+@pytest.mark.parametrize("pipeline", ["harmonic_s1", "harmonic_s2"])
+def test_solution_boxes_are_the_linearized_reach_at_every_seed(
+    pipeline, request, monkeypatch
+):
+    # S is sized by [A0 | B0] and the chart radius, not by sampling the
+    # tower: no forward pass, and the boxes do not move with the seed
+    _, Pi, m, F, *_ = request.getfixturevalue(pipeline)
+    expected = _linearized_boxes(Pi, F, m)
+    passes = []
+    forward = construct.ChartTower.forward
+
+    def counted(self, y):
+        passes.append(y)
         return forward(self, y)
 
-    monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_full_step)
-    x = solve(n, lam)[0]
-    assert len(set(heads)) == len(heads) > 2
-    assert np.max(np.abs(Pi.value(x) - n)) < 1e-8
-    assert np.max(np.abs(x - expected)) < 1e-8
+    monkeypatch.setattr(construct.ChartTower, "forward", counted)
+    for seed in (0, 3):
+        solution = solution_from_integrals(Pi, F, m, seed=seed)
+        boxes = np.vstack([solution.n_box, solution.lambda_box])
+        assert boxes.tobytes() == expected.tobytes()
+    assert passes == []
 
-    def failing_start(self, y):
-        raise flows.FlowError("adaptive step underflow")
 
-    monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_start)
-    with pytest.raises(flows.FlowError, match="adaptive step underflow"):
-        solve(n, lam)
+def test_validation_probes_keep_their_sign(harmonic_s2, monkeypatch):
+    # no probe coordinate lies within a quarter edge of the box centre, and
+    # each keeps the sign of its uniform draw: both faces are probed
+    _, Pi, m, F, _ = harmonic_s2
+    targets = []
+    tower_inverse = construct._tower_inverse
+
+    def recorded(*args):
+        solve, J0, center, half = tower_inverse(*args)
+
+        def probe(n, lam):
+            targets.append(np.concatenate([n, lam]))
+            return solve(n, lam)
+
+        return probe, J0, center, half
+
+    monkeypatch.setattr(construct, "_tower_inverse", recorded)
+    solution = solution_from_integrals(Pi, F, m, seed=4)
+    boxes = np.vstack([solution.n_box, solution.lambda_box])
+    d = (np.array(targets) - boxes.mean(axis=1)) / (np.diff(boxes, axis=1)[:, 0] / 2)
+    draws = np.random.default_rng(4).uniform(-1.0, 1.0, size=d.shape)
+    assert d.shape == (20, 4)
+    assert np.all(np.abs(d) >= 0.25 - 1e-12)
+    assert np.array_equal(np.sign(d), np.sign(draws))
+    assert np.any(np.abs(draws) < 0.25)
 
 
 def test_duality_requires_transversality():
@@ -1073,6 +1153,99 @@ def test_duality_refuses_unreachable_boxes():
     ) as info:
         solution_from_integrals(Pi, F, [0.0, 1.5698])
     assert isinstance(info.value.__cause__, NewtonError)
+
+
+def test_random_quartic_hamiltonian_near_the_hypotheses_edge_constructs():
+    # trial 0 of the random sweep (margin 0.017): while S's boxes were sized
+    # by sampling the tower, the hje check's S head Newton stalled at a
+    # probe the 20 validation probes never met
+    H = ScalarField.parse("-0.003*q1^2*q1 + -1.718*q1^2*p1^2 + p1^2/2", 1)
+    Pi = MapField.from_sources(("q1",), 1)
+    m = np.array([-0.26201375254041803, 0.022780043606525302])
+    F = build_first_integrals(H, Pi, m, probes=20, seed=0)
+    solution = solution_from_integrals(Pi, F, m, seed=0)
+    assert hje_residual(solution, H, Pi, probes=20, seed=0).passed
+    assert isotropy_residual(solution, probes=20, seed=0).passed
+
+
+def test_solution_returns_no_point_that_its_integrals_refuse():
+    # trial 1 of the random sweep: S flowed a chart past the slice time its
+    # inverse refuses, so F raised ChartError at a box corner of S; S may
+    # refuse a point, but a point it returns inverts to its lam
+    H = ScalarField.parse("-0.899*p1*p1 + 1.267*p1^2*q1^2 + 0.215*q1*p1^2 + p1^2/2", 1)
+    Pi = MapField.from_sources(("q1",), 1)
+    m = np.array([0.6044053675569669, 0.7346671036848293])
+    F = build_first_integrals(H, Pi, m, initial_radius=0.25, probes=20, seed=0)
+    solution = solution_from_integrals(Pi, F, m, seed=0)
+    corners = np.array(list(itertools.product(*solution.n_box, *solution.lambda_box)))
+    ns, lams = solution.sample_domain(200, seed=0, margin=1.0)
+    returned = 0
+    for n, lam in zip(np.vstack([corners[:, :1], ns]), np.vstack([corners[:, 1:], lams])):
+        try:
+            x = solution(n, lam)
+        except (NewtonError, flows.ChartError, flows.FlowError):
+            continue
+        returned += 1
+        assert np.max(np.abs(F.integrals.value(x) - lam)) < 1e-7
+    assert returned > 150
+
+
+@st.composite
+def _random_hamiltonians(draw):
+    # the random sweep's generator: a polynomial in the style of
+    # test_acceptance._random_polynomial plus p1^2/2, at m in [-1, 1]^2s
+    s = draw(st.integers(1, 2))
+    factor = st.tuples(st.sampled_from("qp"), st.integers(1, s), st.integers(1, 2))
+    terms = []
+    for _ in range(draw(st.integers(2, 4))):
+        factors = draw(st.lists(factor, min_size=1, max_size=2))
+        terms.append(f"{draw(st.integers(-2000, 2000)) / 1000}*" + "*".join(
+            f"{kind}{i}" + (f"^{power}" if power > 1 else "") for kind, i, power in factors
+        ))
+    m = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * s, max_size=2 * s))
+    return s, " + ".join(terms) + " + p1^2/2", tuple(m)
+
+
+# a typed error names the stage that failed: a level, a probe or a solver
+_STAGE = r"hypotheses|frame|level \d+ chart|probe \d+ of \d+|Newton|verification|base point"
+
+
+@settings(max_examples=8, derandomize=True)
+@given(_random_hamiltonians())
+@example((1, "-0.003*q1^2*q1 + -1.718*q1^2*p1^2 + p1^2/2",
+          (-0.26201375254041803, 0.022780043606525302)))
+@example((1, "-0.899*p1*p1 + 1.267*p1^2*q1^2 + 0.215*q1*p1^2 + p1^2/2",
+          (0.6044053675569669, 0.7346671036848293)))
+def test_random_hamiltonians_construct_or_fail_by_name(case):
+    # the paper's existence claim on random H with the position fibration:
+    # with the flow transverse to the fibres by margin >= 0.1 the four
+    # construct checks pass and F(S(n, lam)) = lam; below that the run
+    # passes or ends in one of the package's typed errors, named by stage
+    s, source, m = case
+    H = ScalarField.parse(source, s)
+    Pi = MapField.from_sources(tuple(f"q{i + 1}" for i in range(s)), s)
+    m = np.array(m)
+    fibres = np.vstack([np.zeros((s, s)), np.eye(s)])
+    frame = np.column_stack([fibres, hamiltonian_vf(H, TOL)(m)])
+    margin = np.linalg.svd(frame, compute_uv=False)[-1]
+    try:
+        F = build_first_integrals(H, Pi, m, probes=6, seed=0)
+        solution = solution_from_integrals(Pi, F, m, seed=0)
+        reports = [
+            hje_residual(solution, H, Pi, probes=6, seed=0),
+            isotropy_residual(solution, probes=6, seed=0),
+            first_integral_residual(F, H, F.points),
+            submersion_checks(F, F.points, fibration=Pi),
+        ]
+        ns, lams = solution.sample_domain(6, seed=0, margin=verify._PROBE_MARGIN)
+        values = [F.integrals.value(solution(n, lam)) for n, lam in zip(ns, lams)]
+    except Exception as exc:
+        assert margin < 0.1, f"margin {margin:.3f}: {type(exc).__name__}: {exc}"
+        assert type(exc).__module__.startswith("hjcomplete."), repr(exc)
+        assert re.search(_STAGE, str(exc)), repr(exc)
+        return
+    assert all(report.passed for report in reports), [str(r) for r in reports]
+    assert np.max(np.abs(np.array(values) - lams)) < 1e-7
 
 
 def test_random_cubic_hamiltonian_inverts_at_every_probe():

@@ -309,7 +309,7 @@ def test_chart_inverse_refuses_slice_times_past_its_reach(monkeypatch):
     # ChartError and never integrates to a slice time past 2 radii
     chart = _harmonic_chart()
     reach = FlowBoxChart.SLICE_TIME_REACH * chart.domain_radius
-    p = chart.forward(np.array([2.5 * chart.domain_radius, 0.1]))
+    p = flow(chart.field, chart.forward(np.array([0.0, 0.1])), 2.5 * chart.domain_radius)
     integrate = flows._integrate
     times = [0.0]
 
@@ -321,6 +321,31 @@ def test_chart_inverse_refuses_slice_times_past_its_reach(monkeypatch):
     monkeypatch.setattr(flows, "_integrate", traced)
     with pytest.raises(ChartError, match="passes 2 domain radii"):
         chart.inverse(p)
+
+
+def test_chart_forward_refuses_slice_times_past_its_reach(monkeypatch):
+    # forward and forward_and_jacobian keep the inverse's reach rule: they
+    # flow up to 2 radii and refuse a slice time past it before integrating
+    chart = _harmonic_chart()
+    edge = np.array([-FlowBoxChart.SLICE_TIME_REACH * chart.domain_radius, 0.1])
+    assert np.max(np.abs(chart.forward(edge) - chart.forward_and_jacobian(edge)[0])) < 1e-8
+    far = np.array([2.5 * chart.domain_radius, 0.1])
+    monkeypatch.setattr(flows, "_integrate", None)
+    for chart_map in (chart.forward, chart.forward_and_jacobian):
+        with pytest.raises(ChartError, match="slice time .* passes 2 domain radii"):
+            chart_map(far)
+        with pytest.raises(ChartError, match="passes 2 domain radii"):
+            chart_map(-far)
+
+
+def test_chart_inverts_what_it_maps_up_to_its_reach():
+    # the slice-time Newton overshoots: from y_r = -2 radii its first step
+    # lands past the reach, where it stops, so the point still inverts
+    chart = _harmonic_chart()
+    reach = FlowBoxChart.SLICE_TIME_REACH * chart.domain_radius
+    for t in (-reach, -0.75 * reach, 0.75 * reach, reach):
+        y = np.array([t, 0.1])
+        assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
 
 
 def test_chart_slice_deterministic():
