@@ -7,10 +7,11 @@ chart coordinates y_{k+1}..y_{2s} restrict to a submersion F whose level
 sets are tangent to the flow.  Inverting (fibration, F) yields a complete
 solution: S(n, lam) = Psi(h, lam), with Psi the chart tower and h the
 head coordinates solving Pi(Psi(h, lam)) = n by one query-seeded Newton
-solve; F flows its query back to each chart's slice.  Every inversion
-here (the tower for F, (Pi, F) for S, and S for its integrals) starts
-from its query alone and is memoized on the query's exact bytes (_memo),
-so each map is a pure function and the memo only saves time.
+solve, whose iterates continue one deepest-chart flow on the leaf F = lam
+(ChartTower.leaf); F flows its query back to each chart's slice.  Every
+inversion here (the tower for F, (Pi, F) for S, and S for its integrals)
+starts from its query alone and is memoized on the query's exact bytes
+(_memo), so each map is a pure function and the memo only saves time.
 
 Charts are stacked: level 1 rectifies X_H in phase space, level j >= 2
 flows the lifted field lam_{j-1}[:, b] in level j-1 coordinates, where
@@ -217,9 +218,17 @@ class ChartTower:
         return eta
 
     def forward_and_jacobian(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        eta = np.asarray(y, dtype=float)
-        D = None
-        for j in reversed(range(len(self.charts))):
+        return self._up(len(self.charts), np.asarray(y, dtype=float), None)
+
+    def leaf(self, lam: np.ndarray) -> Callable:
+        """head -> forward_and_jacobian((head, lam)) on the leaf F = lam: the
+        deepest chart's FlowBoxChart.leaf(lam), then the upper levels."""
+        deep, at = len(self.charts) - 1, self.charts[-1].leaf(lam)
+        return lambda head: self._up(deep, *_at_level(deep, "forward", at, head))
+
+    def _up(self, level: int, eta: np.ndarray, D) -> tuple[np.ndarray, np.ndarray]:
+        """(eta, D) mapped by charts[level-1] up to charts[0]; D None: I."""
+        for j in reversed(range(level)):
             eta, Dj = _at_level(j, "forward", self.charts[j].forward_and_jacobian, eta)
             D = Dj if D is None else Dj @ D
         return eta, D
@@ -234,12 +243,16 @@ class ChartTower:
 
 
 def _at_level(j: int, stage: str, call: Callable, *args):
-    """call(*args), a chart map of charts[j]; its failure is re-raised with
-    the same type, prefixed with the level (charts[0] is level 1)."""
+    """call(*args), a chart map of charts[j], named by its level j + 1."""
+    return _named(f"level {j + 1} chart {stage}", call, *args)
+
+
+def _named(where: str, call: Callable, *args):
+    """call(*args); a chart or flow error is re-raised as its type, named."""
     try:
         return call(*args)
     except (ChartError, FlowError) as exc:
-        raise type(exc)(f"level {j + 1} chart {stage}: {exc}") from exc
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 _MEMO_LIMIT = 50_000
@@ -633,8 +646,9 @@ class FirstIntegralSubmersion:
         n = 2 * self.dimension_s
         radius = margin * min(c.domain_radius for c in self.state.tower.charts)
         rng = np.random.default_rng(seed)
-        ys = rng.uniform(-radius, radius, size=(count, n))
-        return np.array([self.state.tower.forward(y) for y in ys])
+        ys = enumerate(rng.uniform(-radius, radius, size=(count, n)), 1)
+        at = self.state.tower.forward
+        return np.array([_named(f"sample point {i} of {count}", at, y) for i, y in ys])
 
 
 def _integral_components(solve: Callable, k: int, dim_s: int) -> tuple[ProceduralScalar, ...]:
@@ -861,6 +875,7 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol):
     regular, and the half-edges, rho sum_j |[A0 | B0]_ij| for n_i and rho
     for lam_j with rho = 0.4 x the least chart radius r, are half the corner
     bound of the linearized reach of (Pi o Psi, y_tail) over |y| <= 0.8 r.
+    Each solve continues its own tower.leaf(lam), so S stays pure.
     DS = DPsi M^{-1}, M = [DPi DPsi ; 0 | I].  Returns solve(n, lam) ->
     (S, DS), A0, the box centre (Pi(m), 0) and the half-edges.
     """
@@ -871,8 +886,8 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol):
     half = rho * np.concatenate([np.abs(AB).sum(axis=1), np.ones(dim - k)])
 
     def solve(n: np.ndarray, lam: np.ndarray):
-        # one chart pass per iterate serves both the residual and the Jacobian
-        chart = _memo(lambda h: tower.forward_and_jacobian(np.concatenate([h, lam])))
+        # one leaf pass per iterate serves both the residual and the Jacobian
+        chart = _memo(tower.leaf(lam))
 
         def jacobian(h: np.ndarray) -> np.ndarray:
             x, D = chart(h)
@@ -885,7 +900,8 @@ def _tower_inverse(fibration: MapField, F: FirstIntegralSubmersion, m, tol):
                 return np.full(k, np.nan)
 
         h0 = np.linalg.solve(AB[:, :k], n - pi_m - AB[:, k:] @ lam)
-        chart(h0)  # but an unreachable start raises
+        # an unreachable start raises, named by its query
+        _named(f"S start at n={n.tolist()}, lambda={lam.tolist()}", chart, h0)
         h = newton_solve(residual, jacobian, h0, tol=tol.newton, role="S head Newton")
         x, D = chart(h)
         M = np.vstack([fibration.jacobian(x) @ D, np.eye(dim)[k:]])

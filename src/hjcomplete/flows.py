@@ -20,6 +20,8 @@ translations; its last columns span a transversal to them and to X(m).
 In chart coordinates X becomes the shift along y_r, which is what the
 rest of the package builds on.  A point inverts by flowing back along X
 to the slice hyperplane: Newton in the one slice time (event location).
+leaf(tail) maps a sequence of heads (a Newton solve on one leaf) to psi
+and D psi by continuing one flow, so it integrates each stretch once.
 """
 
 from __future__ import annotations
@@ -293,23 +295,35 @@ class FlowBoxChart:
         return _integrate(self.field.evaluate, x, t, self.settings) if t else x
 
     def forward_and_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """psi(y) and D psi(y) = M B with column r replaced by X(psi(y)),
-        M the tangent of the one flow.
-
-        The field's Jacobian has zero columns along e_0..e_{r-1}, so M
-        fixes those unit vectors bitwise and the head columns of D stay
-        exact.
-        """
+        """psi(y) and D psi(y): the first call of a fresh leaf map."""
         y = np.asarray(y, dtype=float)
-        x = self.basepoint + self.slice_basis @ y
-        t = self._within_reach(float(y[self.axis]))
-        if t:
-            x, M = flow_with_tangent(self.field, x, t, self.settings)
-            D = M @ self.slice_basis
-        else:
-            D = self.slice_basis.copy()
-        D[:, self.axis] = self.field(x)
-        return x, D
+        return self.leaf(y[self.axis + 1 :])(y[: self.axis + 1])
+
+    def leaf(self, tail):
+        """head -> (psi(y), D psi(y) = M B with column r replaced by X) at
+        y = (head, tail), M the tangent of one flow from the first call's
+        slice point.  A new slice time flows only the increment from the
+        kept (slice time, point, M), M <- M_step M; a failed flow keeps them.
+        DX has zero columns along e_0..e_{r-1}, so M fixes those bitwise and
+        the head below the axis moves x by a translation."""
+        r, m, B, kept = self.axis, self.basepoint, self.slice_basis, None
+
+        def at(head) -> tuple[np.ndarray, np.ndarray]:
+            nonlocal kept
+            t = self._within_reach(float(head[r]))
+            if kept is None:
+                kept = head[:r].copy(), 0.0, m + B @ np.concatenate([head, tail]), None
+            first, t0, x, M = kept
+            if t != t0:
+                x, step = flow_with_tangent(self.field, x, t - t0, self.settings)
+                M = step if M is None else step @ M
+                kept = first, t, x, M
+            D = B.copy() if M is None else M @ B
+            x = np.concatenate([x[:r] + (head[:r] - first), x[r:]])
+            D[:, r] = self.field(x)
+            return x, D
+
+        return at
 
     def inverse(self, p) -> np.ndarray:
         """Chart coordinates of p, a pure function of p.

@@ -618,15 +618,21 @@ def test_chart_round_trip_property(harmonic_s2, level, v):
     assert np.max(np.abs(chart.inverse(chart.forward(y)) - y)) < 1e-8
 
 
-def test_chart_round_trips_at_box_corners():
-    # callers sample the whole box of half-edge domain_radius, not only
-    # the ball, so every corner of each chart box must invert
+@pytest.fixture(scope="module")
+def anisotropic_s2():
     cfg = scenarios.parse_config({"scenario": "anisotropic_s2", "probes": 6})
     F = build_first_integrals(
         cfg.hamiltonian(), cfg.fibration(), cfg.base_point, cfg.tolerances,
         cfg.integrator_settings(), cfg.domain_radius, probes=cfg.probes,
         seed=cfg.seed,
     )
+    return cfg.hamiltonian(), cfg.fibration(), np.array(cfg.base_point), F
+
+
+def test_chart_round_trips_at_box_corners(anisotropic_s2):
+    # callers sample the whole box of half-edge domain_radius, not only
+    # the ball, so every corner of each chart box must invert
+    F = anisotropic_s2[3]
     corners = 1.0 - 2.0 * (np.arange(16)[:, None] >> np.arange(4) & 1)
     for chart in F.state.tower.charts:
         for y in corners * chart.domain_radius:
@@ -650,19 +656,104 @@ def test_integrals_run_no_newton_solve(harmonic_s2, monkeypatch):
     assert counts == {}
 
 
-@pytest.mark.parametrize("method", ["forward", "forward_and_jacobian"])
+@pytest.mark.parametrize("method", ["forward", "forward_and_jacobian", "leaf"])
 def test_tower_forward_failure_names_its_level(harmonic_s2, monkeypatch, method):
     # level 2 flows first; its step underflow keeps its type and text
     # behind the level prefix, with the chart's error chained as the cause
     _, _, _, F, _ = harmonic_s2
     tower = F.state.tower
     y = np.array([0.0, 0.2, 0.0, 0.0]) * tower.charts[1].domain_radius
+    call = getattr(tower, method)
+    if method == "leaf":  # the deepest chart's leaf map, on the leaf of y
+        call = lambda y: tower.leaf(y[F.k :])(y[: F.k])  # noqa: E731
     monkeypatch.setattr(flows, "_MIN_STEP_FRACTION", 0.5)
     with pytest.raises(
         flows.FlowError, match="^level 2 chart forward: adaptive step underflow"
     ) as info:
-        getattr(tower, method)(y)
+        call(y)
     assert type(info.value.__cause__) is flows.FlowError
+
+
+def test_sample_point_failure_names_its_sample(harmonic_s2, monkeypatch):
+    # a tower forward pass inside sample_points names the sample it served
+    _, _, _, F, _ = harmonic_s2
+    forward, calls = construct.ChartTower.forward, []
+
+    def failing_second(self, y):
+        calls.append(y)
+        if len(calls) == 2:
+            raise flows.ChartError("level 2 chart forward: point outside chart domain")
+        return forward(self, y)
+
+    monkeypatch.setattr(construct.ChartTower, "forward", failing_second)
+    with pytest.raises(
+        flows.ChartError, match="^sample point 2 of 3: level 2 chart forward: point outside"
+    ) as info:
+        F.sample_points(3, seed=1)
+    assert type(info.value.__cause__) is flows.ChartError
+
+
+def _tower_of(fixture):
+    return fixture if isinstance(fixture, construct.ChartTower) else fixture[3].state.tower
+
+
+@pytest.mark.parametrize(
+    "pipeline", ["harmonic_s1", "harmonic_s2", "anisotropic_s2", "oscillator_s3_tower"]
+)
+def test_leaf_map_continues_one_trajectory(pipeline, request, monkeypatch):
+    # tower.leaf(lam) agrees with a fresh one-shot pass at every head of a
+    # walk forward, backward and across t = 0, while the deepest chart
+    # flows each stretch of slice time once: every flow after the first
+    # starts where the last one ended and spans only the increment, an
+    # unchanged slice time flows nothing, and a failed flow keeps the state
+    tower = _tower_of(request.getfixturevalue(pipeline))
+    deep, k, n = tower.charts[-1], len(tower.charts), 2 * tower.dimension_s
+    r = 0.5 * min(c.domain_radius for c in tower.charts)
+    rng = np.random.default_rng(61)
+    lam = rng.uniform(-r, r, size=n - k)
+    times = r * np.array([0.3, 0.7, 0.7, -0.2, -0.6, 0.0, 0.0, 0.5, -0.4])
+    heads = [np.append(rng.uniform(-r, r, size=k - 1), t) for t in times]
+
+    flowed, fail = [], []
+    tangent_flow = flows.flow_with_tangent
+
+    def recorded(field, x0, t, settings):
+        if fail:
+            raise flows.FlowError(fail.pop())
+        x, M = tangent_flow(field, x0, t, settings)
+        if field is deep.field:
+            flowed.append((np.array(x0), t, x))
+        return x, M
+
+    with monkeypatch.context() as patch:
+        patch.setattr(flows, "flow_with_tangent", recorded)
+        at, walk, flows_per_step = tower.leaf(lam), [], []
+        for head in heads:
+            before = len(flowed)
+            walk.append(at(head))
+            flows_per_step.append(len(flowed) - before)
+        fail.append("injected underflow")
+        with pytest.raises(flows.FlowError, match="injected underflow"):
+            at(np.append(heads[-1][:-1], 0.1 * r))
+        again = at(heads[-1])
+
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, walk[-1]))
+    assert flows_per_step == [int(t != prev) for t, prev in zip(times, [0.0, *times])]
+    y_first = np.concatenate([heads[0], lam])
+    assert np.array_equal(flowed[0][0], deep.basepoint + deep.slice_basis @ y_first)
+    assert flowed[0][1] == times[0]
+    moves = [(t, prev) for t, prev in zip(times[1:], times) if t != prev]
+    assert len(flowed) == len(moves) + 1
+    for (t, prev), last, now in zip(moves, flowed, flowed[1:]):
+        assert np.array_equal(now[0], last[2]) and now[1] == t - prev
+
+    chart_at = deep.leaf(lam)
+    for head, (x, D) in zip(heads, walk):
+        x_fresh, D_fresh = tower.forward_and_jacobian(np.concatenate([head, lam]))
+        assert np.max(np.abs(x - x_fresh)) < 1e-10
+        assert np.max(np.abs(D - D_fresh)) < 1e-9
+        # M fixes the straightened directions bitwise along the walk
+        assert np.array_equal(chart_at(head)[1][:, : k - 1], np.eye(n)[:, : k - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -855,38 +946,64 @@ def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
 
 
 def test_head_solve_halves_a_step_the_chart_cannot_flow_to(harmonic_s2, monkeypatch):
-    # S's head Newton: a trial point whose chart forward raises FlowError,
-    # or ChartError for a slice time past the reach, is a failed trial, so
-    # the step halves; a start the chart cannot reach still raises
+    # S's head Newton: a trial point whose leaf map raises FlowError, or
+    # ChartError for a slice time past the reach, is a failed trial, so
+    # the step halves; a start the chart cannot reach still raises, named
+    # by its query
     _, Pi, m, F, solution = harmonic_s2
     solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES)[0]
     n, lam = (c[0] for c in solution.sample_domain(1, seed=5, margin=0.8))
     expected = solve(n, lam)[0]
-    forward = construct.ChartTower.forward_and_jacobian
+    leaf = construct.ChartTower.leaf
     for error in (
         flows.FlowError("adaptive step underflow at t = -990.9"),
         flows.ChartError("point outside chart domain: slice time 1.3e+00 passes 2 domain radii"),
     ):
         heads = []
 
-        def failing_full_step(self, y):
-            heads.append(tuple(y[: F.k]))
-            if len(heads) == 2:  # h0, then the first full Newton step
-                raise error
-            return forward(self, y)
+        def failing_full_step(self, lam):
+            at = leaf(self, lam)
 
-        monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_full_step)
+            def step(head):
+                heads.append(tuple(head))
+                if len(heads) == 2:  # h0, then the first full Newton step
+                    raise error
+                return at(head)
+
+            return step
+
+        monkeypatch.setattr(construct.ChartTower, "leaf", failing_full_step)
         x = solve(n, lam)[0]
         assert len(set(heads)) == len(heads) > 2
         assert np.max(np.abs(Pi.value(x) - n)) < 1e-8
         assert np.max(np.abs(x - expected)) < 1e-8
 
-        def failing_start(self, y):
-            raise error
+        def failing_start(self, lam):
+            def step(head):
+                raise error
 
-        monkeypatch.setattr(construct.ChartTower, "forward_and_jacobian", failing_start)
-        with pytest.raises(type(error), match=str(error)[:20]):
+            return step
+
+        monkeypatch.setattr(construct.ChartTower, "leaf", failing_start)
+        with pytest.raises(type(error), match=str(error)[:20]) as info:
             solve(n, lam)
+        where = f"S start at n={n.tolist()}, lambda={lam.tolist()}: "
+        assert str(info.value) == where + str(error)
+        assert info.value.__cause__ is error
+
+
+def test_tower_solve_is_a_pure_function_of_its_query(harmonic_s2, harmonic_s1):
+    # each solve continues its own leaf map, so (x, DS) at a query is the
+    # same bits fresh and after solves on the same leaf and on another one
+    for _, Pi, m, F, *_ in (harmonic_s2, harmonic_s1):
+        solution = solution_from_integrals(Pi, F, m, seed=0)
+        ns, lams = solution.sample_domain(3, seed=67, margin=0.8)
+        fresh = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES)[0](ns[0], lams[0])
+        solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES)[0]
+        for n, lam in ((ns[1], lams[0]), (ns[2], lams[0]), (ns[1], lams[1]), (ns[0], lams[0])):
+            again = solve(n, lam)
+        for a, b in zip(fresh, again):
+            assert a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
