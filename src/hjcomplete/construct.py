@@ -169,8 +169,8 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int])
 
 
 def _canonical_poisson(dim_s: int) -> Callable:
-    J, dJ = structure_matrix(dim_s), np.zeros((2 * dim_s,) * 3)
-    return lambda z, derivative=False: (J, dJ) if derivative else J
+    J = structure_matrix(dim_s)
+    return lambda z: J  # level 1 reads its value only: dL = 0
 
 
 @dataclass(frozen=True)
@@ -248,11 +248,14 @@ def _at_level(j: int, stage: str, call: Callable, *args):
 
 
 def _named(where: str, call: Callable, *args):
-    """call(*args); a chart or flow error is re-raised as its type, named."""
+    """call(*args); a failure is re-raised as a copy of itself (type and
+    attributes) whose message starts with where, chained to the original."""
     try:
         return call(*args)
-    except (ChartError, FlowError) as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
+    except (RuntimeError, ValueError, ArithmeticError) as exc:
+        named = type(exc).__new__(type(exc), f"{where}: {exc}")  # __init__ signatures vary
+        named.__dict__.update(vars(exc))
+        raise named from exc
 
 
 _MEMO_LIMIT = 50_000
@@ -482,7 +485,7 @@ def _lifted_x_field(tower: ChartTower, index: TowerIndex, b: int, dim_s: int) ->
     return VectorField(evaluate, dim_s)
 
 
-def _validate_frame_invariants(state: FrameState) -> None:
+def _validate_frame_invariants(state: FrameState) -> np.ndarray:
     m = state.basepoint
     vals = np.column_stack([fld(m) for fld in state.fields])
     r = state.r
@@ -502,6 +505,7 @@ def _validate_frame_invariants(state: FrameState) -> None:
         raise FrameExtensionError(
             f"frame span meets the fibre tangent space: rank {got} < {want}"
         )
+    return vals
 
 
 def extend_frame(state: FrameState) -> FrameState:
@@ -517,7 +521,7 @@ def extend_frame(state: FrameState) -> FrameState:
     r, k, n = state.r, state.k, 2 * state.dimension_s
     if r >= k:
         raise FrameExtensionError(f"frame already has {r} >= k = {k} fields")
-    _validate_frame_invariants(state)
+    frame_vals = _validate_frame_invariants(state)
     tol = state.tolerances
 
     # Coefficients of the constant frame directions against the lifted
@@ -545,7 +549,6 @@ def extend_frame(state: FrameState) -> FrameState:
     tower = state.tower.with_permuted_tail(perm)
 
     lam0 = tower.poissons[-1](np.zeros(n))
-    frame_vals = np.column_stack([fld(state.basepoint) for fld in state.fields])
     _, D0 = tower.forward_and_jacobian(np.zeros(n))
 
     best_b, best_score = None, -np.inf
@@ -588,12 +591,7 @@ def extend_frame(state: FrameState) -> FrameState:
     lifted = VectorField(ghat, state.dimension_s)
     try:
         new_chart = FlowBoxChart.build(
-            np.zeros(n),
-            lifted,
-            r,
-            state.settings,
-            tol,
-            initial_radius=state.initial_radius,
+            np.zeros(n), lifted, r, state.settings, tol, state.initial_radius
         )
     except ChartError as exc:
         raise FrameExtensionError(f"chart construction failed: {exc}") from exc
@@ -669,8 +667,8 @@ def _integral_components(solve: Callable, k: int, dim_s: int) -> tuple[Procedura
 
 def _jacobian_stack(F: Union[MapField, FirstIntegralSubmersion], points) -> np.ndarray:
     """dF at every probe, one evaluation each, as a (P, l, 2s) stack."""
-    integrals = _integrals_map(F)
-    dF = [integrals.jacobian(x) for x in points]
+    integrals, P = _integrals_map(F), len(points)
+    dF = [_named(f"dF probe {i} of {P}", integrals.jacobian, x) for i, x in enumerate(points, 1)]
     return np.array(dF).reshape(len(dF), integrals.target_dim, integrals.dim)
 
 
@@ -1005,7 +1003,8 @@ def integrals_from_solution(
     of (n, lam) = S^{-1}(x), dF the lam rows of DS^{-1}, by the tower's
     _integral_components over a memoized _newton_inverse of S from the box
     midpoint.  F is a pure function of x; one Newton solve serves every
-    component's value and gradient at a point."""
+    component's value and gradient at a point.  Its Newton stays, though on a
+    constructed S it nests S's head Newton: no command or benchmark calls it."""
     s, k = solution.dimension_s, solution.k
     mid = np.vstack([solution.n_box, solution.lambda_box]).mean(axis=1)
     # Newton trial steps may leave the validated boxes briefly, so the

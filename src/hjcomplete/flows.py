@@ -7,7 +7,9 @@ a rejected step keeps its first stage.  When adaptive step control
 underflows it raises FlowError rather than trade the tolerance for a
 coarser answer; a fixed step classical RK4 is available only on request
 (method "rk4-fixed").  The tangent variant integrates the variational
-equation alongside the state and returns the flow differential.
+equation alongside the state and returns the flow differential.  A field
+that leaves its domain (log(q1) at q1 <= 0) fails its flow with FlowError,
+so a chart probe whose flow leaves the domain is a failed probe.
 
 A FlowBoxChart straightens one field X near a base point m:
 
@@ -103,43 +105,45 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
     x0 = np.asarray(x0, dtype=float)
     if t_end == 0.0:
         return x0.copy()
-    if settings.method == "rk4-fixed":
-        return _rk4_fixed(rhs, x0, t_end, settings.step, settings.max_steps)
-
     sign = 1.0 if t_end > 0.0 else -1.0
     span = abs(t_end)
     x, n = x0.copy(), x0.shape[0]
     K = np.empty((6, n))
-    K[0] = rhs(x)
-    if not np.isfinite(K[0]).all():
-        raise FlowError("non finite right hand side at start")
-    scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(K[0])))
-    h = sign * min(span, max(1e-6, 0.01 * scale0))
     t = 0.0
-    for _ in range(settings.max_steps):
-        if abs(h) > abs(t_end - t):
-            h = t_end - t
-        for i in range(1, 6):
-            K[i] = rhs(x + h * (_ROWS[i] @ K[:i]))
-        x5 = x + h * (_B5 @ K)
-        delta = h * (_E @ K)
-        if not (np.isfinite(x5).all() and np.isfinite(delta).all()):
-            raise FlowError("non finite state in adaptive integration")
-        sc = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5))
-        q = delta / sc  # err is the root mean square of q, summed as np.mean does
-        err = math.sqrt(float(np.add.reduce(q * q)) / n)
-        if err <= 1.0:
-            t += h
-            x = x5
-            if abs(t - t_end) <= _MIN_STEP_FRACTION * span:
-                return x
-            K[0] = rhs(x)  # a rejected step keeps the slope at its start
-        h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-        if abs(h) < _MIN_STEP_FRACTION * max(1.0, span):
-            raise FlowError(
-                f"adaptive step underflow at t = {t:.6e}: h = {h:.3e}, "
-                f"t_end = {t_end:.6e}"
-            )
+    try:  # a field evaluation that raises (X left its domain) fails the flow
+        if settings.method == "rk4-fixed":
+            return _rk4_fixed(rhs, x0, t_end, settings.step, settings.max_steps)
+        K[0] = rhs(x)
+        if not np.isfinite(K[0]).all():
+            raise FlowError("non finite right hand side at start")
+        scale0 = (1.0 + float(np.linalg.norm(x))) / (1.0 + float(np.linalg.norm(K[0])))
+        h = sign * min(span, max(1e-6, 0.01 * scale0))
+        for _ in range(settings.max_steps):
+            if abs(h) > abs(t_end - t):
+                h = t_end - t
+            for i in range(1, 6):
+                K[i] = rhs(x + h * (_ROWS[i] @ K[:i]))
+            x5 = x + h * (_B5 @ K)
+            delta = h * (_E @ K)
+            if not (np.isfinite(x5).all() and np.isfinite(delta).all()):
+                raise FlowError("non finite state in adaptive integration")
+            sc = settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5))
+            q = delta / sc  # err is the root mean square of q, summed as np.mean does
+            err = math.sqrt(float(np.add.reduce(q * q)) / n)
+            if err <= 1.0:
+                t += h
+                x = x5
+                if abs(t - t_end) <= _MIN_STEP_FRACTION * span:
+                    return x
+                K[0] = rhs(x)  # a rejected step keeps the slope at its start
+            h *= 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if abs(h) < _MIN_STEP_FRACTION * max(1.0, span):
+                raise FlowError(
+                    f"adaptive step underflow at t = {t:.6e}: h = {h:.3e}, "
+                    f"t_end = {t_end:.6e}"
+                )
+    except ArithmeticError as exc:
+        raise FlowError(f"field left its domain at t = {t:.6e}: {exc}") from exc
     raise FlowError("step count exceeded in adaptive integration")
 
 
@@ -268,13 +272,17 @@ class FlowBoxChart:
     def _probe_domain(self, probes: np.ndarray) -> bool:
         for y in probes:
             try:
-                x = self.forward(y)
-                y_back = self.inverse(x)
+                if np.linalg.norm(self.inverse(self.forward(y)) - y) > 1e-6:
+                    return False
             except (FlowError, ChartError):
                 return False
-            if np.linalg.norm(y_back - y) > 1e-6:
-                return False
         return True
+
+    def _field_at(self, x: np.ndarray) -> np.ndarray:
+        try:
+            return self.field(x)
+        except ArithmeticError as exc:  # as in _integrate: the chart map fails
+            raise FlowError(f"field left its domain: {exc}") from exc
 
     def _within_reach(self, t: float, detail: str = "") -> float:
         """The slice time t, unless |t| passes SLICE_TIME_REACH radii: one rule
@@ -320,7 +328,7 @@ class FlowBoxChart:
                 kept = first, t, x, M
             D = B.copy() if M is None else M @ B
             x = np.concatenate([x[:r] + (head[:r] - first), x[r:]])
-            D[:, r] = self.field(x)
+            D[:, r] = self._field_at(x)
             return x, D
 
         return at
@@ -342,7 +350,7 @@ class FlowBoxChart:
                 y = self.slice_basis.T @ (x - m)
                 y[self.axis] = t
                 return y
-            w = float(c @ self.field.evaluate(x))
+            w = float(c @ self._field_at(x))
             step = g / w if w else math.inf
             if abs(t) < reach < abs(t + step) < math.inf:  # an overshoot stops at the reach
                 step = math.copysign(reach, t + step) - t

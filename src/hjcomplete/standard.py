@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .construct import CompleteSolution
+from .construct import CompleteSolution, _named
 from .expr import ScalarField, _has_var, parse, serialize
 from .verify import _PROBE_MARGIN, ResidualReport, _collect
 
@@ -147,8 +147,8 @@ def verify_characteristic(
     The classical equation asks H composed with the gradient to be
     constant in q; the report carries the worst drift from the value at
     the anchor point over probes in the central 90% of the position box.
-    A failure of S at a probe is re-raised as itself, its message naming
-    the check, the probe, q and lam.
+    A failure of S at a probe is named (_named) by the check, the probe,
+    q and lam.
     """
     box = W.solution.n_box
     mid = box.mean(axis=1)
@@ -159,12 +159,8 @@ def verify_characteristic(
     ref = hamiltonian.value(np.concatenate([W.q0, W.section(W.q0)]))
     residuals = []
     for i, q in enumerate(qs):
-        try:  # only S runs here
-            p = W.section(q)
-        except (RuntimeError, ValueError, ArithmeticError) as exc:
-            at = f"q={q.tolist()}, lambda={W.lam.tolist()}"
-            exc.args = (f"characteristic_constancy probe {i + 1} of {probes} at {at}: {exc}",)
-            raise
+        at = f"q={q.tolist()}, lambda={W.lam.tolist()}"
+        p = _named(f"characteristic_constancy probe {i + 1} of {probes} at {at}", W.section, q)
         residuals.append(abs(hamiltonian.value(np.concatenate([q, p])) - ref))
     return _collect("characteristic_constancy", residuals, qs, _CONSTANCY_TOL, seed)
 

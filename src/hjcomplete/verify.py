@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .construct import CompleteSolution, FirstIntegralSubmersion, _jacobian_stack
+from .construct import CompleteSolution, FirstIntegralSubmersion, _jacobian_stack, _named
 from .expr import MapField, ScalarField
 from .symplectic import (
     _classes,
@@ -82,16 +82,12 @@ def sample_cube(center, radius: float, count: int, seed: int = 0) -> np.ndarray:
 
 
 def _solution_probes(check: str, solution, probes: int, seed: int):
-    """(n, lam, S, DS) at seeded probes; a failure of S is re-raised as
-    itself, attributes kept, its message naming the check and the probe."""
+    """(n, lam, S, DS) at seeded probes; a failure of S is named (_named)
+    by the check and the probe."""
     ns, lams = solution.sample_domain(probes, seed=seed, margin=_PROBE_MARGIN)
     for i, (n, lam) in enumerate(zip(ns, lams)):
-        try:  # only S runs here: the loop body's errors never enter
-            yield n, lam, solution(n, lam), solution.jacobian(n, lam)
-        except (RuntimeError, ValueError, ArithmeticError) as exc:
-            at = f"n={n.tolist()}, lambda={lam.tolist()}"
-            exc.args = (f"{check} probe {i + 1} of {probes} at {at}: {exc}",)
-            raise
+        where = f"{check} probe {i + 1} of {probes} at n={n.tolist()}, lambda={lam.tolist()}"
+        yield n, lam, _named(where, solution, n, lam), _named(where, solution.jacobian, n, lam)
 
 
 def hje_residual(

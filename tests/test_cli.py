@@ -489,3 +489,27 @@ def test_every_report_carries_the_envelope(tmp_path, case):
     if case == "integrability-not-a-submersion":
         assert "submersion" in report["error"]
 
+
+
+def test_construct_shrinks_charts_out_of_the_hamiltonian_domain(tmp_path):
+    # at the default radius 0.5 the chart probes of log(q1) flow past
+    # q1 = 0; each such flow fails its probe, the radius halves to 0.0625,
+    # and every output equals a run started at 0.0625 but the config echo
+    config = {
+        "dimension_s": 1,
+        "hamiltonian": "p1^2/2 + log(q1)",
+        "fibration": ["q1"],
+        "base_point": [0.3, 1.0],
+    }
+    runs = {}
+    for name, extra in (("a", {}), ("b", {}), ("r", {"domain_radius": 0.0625})):
+        cfg = _write(tmp_path, f"{name}.json", {**config, **extra})
+        out = tmp_path / name
+        assert main(["construct", "--config", cfg, "--out", str(out)]) == 0
+        runs[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert runs["a"] == runs["b"]
+    report, small = (json.loads(runs[name].pop("report.json")) for name in "ar")
+    assert report["construction"]["chart_radii"] == [0.0625]
+    assert report["config"].pop("domain_radius") == 0.5
+    assert small["config"].pop("domain_radius") == 0.0625
+    assert report == small and runs["a"] == runs["r"]

@@ -34,7 +34,7 @@ from hjcomplete.construct import (
     integrals_from_solution,
     solution_from_integrals,
 )
-from hjcomplete.expr import MapField, ProceduralScalar, ScalarField
+from hjcomplete.expr import EvaluationError, MapField, ProceduralScalar, ScalarField
 from hjcomplete.flows import flow
 from hjcomplete.newton import NewtonError
 from hjcomplete.symplectic import (
@@ -281,7 +281,7 @@ def test_poisson_derivative_matches_fd_at_every_level(pipeline, request):
     assert len(tower.poissons) == n // 2 + 1
     radius = 0.25 * min(c.domain_radius for c in tower.charts)
     rng = np.random.default_rng(43)
-    for lam in tower.poissons:
+    for lam in tower.poissons[1:]:  # poissons[0] is the constant canonical J
         y = rng.uniform(-radius, radius, size=n)
         value, dlam = lam(y, derivative=True)
         assert np.array_equal(value, lam(y))
@@ -386,7 +386,10 @@ def _defining_poisson(tower, level, y):
     B, r, n = chart.slice_basis, chart.axis, y.shape[0]
     S = B[:, r + 1 :]
     z = chart.basepoint + S @ y[r + 1 :]
-    L, dL = parent(z, derivative=True)
+    if level == 1:  # the canonical J is constant
+        L, dL = parent(z), np.zeros((n, n, n))
+    else:
+        L, dL = parent(z, derivative=True)
     if column is None:
         X, DX = chart.field.evaluate(z, derivative=True)
     else:
@@ -1383,3 +1386,120 @@ def test_random_cubic_hamiltonian_inverts_at_every_probe():
     solution = solution_from_integrals(Pi, F, m, seed=0)
     assert hje_residual(solution, H, Pi, probes=6, seed=0).passed
     assert submersion_checks(F, F.sample_points(6, seed=0), fibration=Pi).passed
+
+
+# ---------------------------------------------------------------------------
+# fields with a bounded domain: a flow that leaves it is a failed probe
+
+
+def _bounded_field(theta, log, plain_only=False):
+    """X(q, p) = ((1 + p)(1 + q), 0), which raises EvaluationError past
+    q = theta (only without derivative=True if plain_only), logging q."""
+
+    def evaluate(x, derivative=False):
+        q, p = x
+        if q > theta and not (plain_only and derivative):
+            log.append(q)
+            raise EvaluationError(f"domain error past q1 = {theta}", "q1")
+        X = np.array([(1.0 + p) * (1.0 + q), 0.0])
+        return (X, np.array([[1.0 + p, 1.0 + q], [0.0, 0.0]])) if derivative else X
+
+    return VectorField(evaluate, 1)
+
+
+def test_chart_probes_that_leave_the_field_domain_halve_its_radius():
+    # probes at radius 0.5 and 0.25 flow past q = 0.305, 0.125 stays short
+    log = []
+    chart = flows.FlowBoxChart.build(np.zeros(2), _bounded_field(0.305, log))
+    assert chart.domain_radius == 0.125
+    assert log and min(log) > 0.305
+
+
+@pytest.mark.parametrize("plain_only", [False, True], ids=["flow", "end point"])
+def test_head_solve_halves_a_step_that_leaves_the_field_domain(plain_only):
+    # on the leaf p = -0.5, q(t) = exp(t/2) - 1 is convex: from the linear
+    # start h0 = 0.3 the full Newton step reaches q = 0.3073 in the flow,
+    # and its end point column reads X at q = 0.3086 (plain_only), both
+    # past 0.305, so the step halves and S still solves q = 0.3
+    m, log = np.zeros(2), []
+    wide = flows.FlowBoxChart.build(m, _bounded_field(np.inf, []))
+    deep = dataclasses.replace(wide, field=_bounded_field(0.305, log, plain_only))
+    tower = construct.ChartTower((), (_canonical_poisson(1),), (), 1).extended(deep)
+    F = SimpleNamespace(state=SimpleNamespace(tower=tower), k=1, dimension_s=1)
+    Pi = MapField.from_sources(("q1",), 1)
+    solve = construct._tower_inverse(Pi, F, m, DEFAULT_TOLERANCES)[0]
+    x, DS = solve(np.array([0.3]), np.array([-0.5]))
+    assert len(log) == 1 and log[0] > 0.305
+    assert np.max(np.abs(x - [0.3, -0.5])) < 1e-10
+    assert np.isfinite(DS).all()
+
+
+@pytest.mark.parametrize(
+    "source, m, radius, radii",
+    [
+        ("p1^2/2 + log(q1)", (0.05, 1.0), 0.5, (0.015625,)),
+        ("p1^2/2 + sqrt(q1)", (0.1, 1.0), 0.125, (0.03125,)),
+        ("p1^2/2 + p2^2/2 + log(q1)", (0.1, 0.2, 1.0, 0.5), 0.5, (0.03125, 0.0625)),
+    ],
+)
+def test_hamiltonian_with_a_bounded_domain_constructs(source, m, radius, radii):
+    # flows from q1(m) > 0 towards q1 = 0 leave the domain of log or sqrt
+    # (sqrt(q1) at radius 0.125 reaches q1 = -2.3e-13): chart radii halve
+    s = len(m) // 2
+    H = ScalarField.parse(source, s)
+    Pi = MapField.from_sources(tuple(f"q{i + 1}" for i in range(s)), s)
+    F = build_first_integrals(H, Pi, m, initial_radius=radius, probes=10, seed=0)
+    assert F.diagnostics["chart_radii"] == radii
+    solution = solution_from_integrals(Pi, F, m, seed=0)
+    report = hje_residual(solution, H, Pi, probes=10, seed=0)
+    assert report.passed and report.max_residual < 1e-9
+
+
+@st.composite
+def _log_hamiltonians(draw):
+    # the random sweep's polynomial plus c*log(q1 + a), q1(m) + a >= 0.05
+    s, source, m = draw(_random_hamiltonians())
+    c = draw(st.integers(-2000, 2000)) / 1000
+    a = draw(st.integers(50, 1000)) / 1000 - m[0]
+    return s, f"{source} + {c}*log(q1 + {a!r})", m
+
+
+@settings(max_examples=4, derandomize=True)
+@given(_log_hamiltonians())
+@example((1, "p1^2/2 + log(q1)", (0.3, 1.0)))
+def test_random_log_hamiltonians_construct_or_fail_by_name(case):
+    # a flow that leaves the log's domain fails as a probe: the run passes,
+    # or ends in a typed error named by its stage, never in a raw domain error
+    s, source, m = case
+    H = ScalarField.parse(source, s)
+    Pi = MapField.from_sources(tuple(f"q{i + 1}" for i in range(s)), s)
+    try:
+        F = build_first_integrals(H, Pi, m, probes=6, seed=0)
+        solution = solution_from_integrals(Pi, F, m, seed=0)
+        reports = [
+            hje_residual(solution, H, Pi, probes=6, seed=0),
+            isotropy_residual(solution, probes=6, seed=0),
+            first_integral_residual(F, H, F.points),
+            submersion_checks(F, F.points, fibration=Pi),
+        ]
+    except Exception as exc:
+        assert type(exc).__module__.startswith("hjcomplete."), repr(exc)
+        assert re.search(_STAGE, str(exc)), repr(exc)
+        return
+    assert all(report.passed for report in reports), [str(r) for r in reports]
+
+
+def test_jacobian_stack_names_the_failing_probe():
+    # dF at a point outside log's domain: the level 1 chart inversion reads
+    # X there, fails its flow, and the stack names probe 2
+    H = ScalarField.parse("p1^2/2 + log(q1)", 1)
+    Pi = MapField.from_sources(("q1",), 1)
+    F = build_first_integrals(H, Pi, (0.3, 1.0), probes=6, seed=0)
+    points = np.array([F.points[0], [-0.1, 1.0], F.points[1]])
+    with pytest.raises(flows.FlowError) as info:
+        construct._jacobian_stack(F, points)
+    assert re.match(
+        r"dF probe 2 of 3: level 1 chart inversion: field left its domain: "
+        r"domain error for log\(-0\.1\) in 'log\(q1\)'$", str(info.value)
+    ), str(info.value)
+    assert type(info.value.__cause__) is flows.FlowError

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hjcomplete import standard
-from hjcomplete.construct import CompleteSolution, DomainBoxError
+from hjcomplete import scenarios, standard
+from hjcomplete.construct import (
+    CompleteSolution,
+    DomainBoxError,
+    build_first_integrals,
+    solution_from_integrals,
+)
 from hjcomplete.expr import ScalarField
 from hjcomplete.newton import NewtonError
 from hjcomplete.standard import (
@@ -310,3 +315,43 @@ def test_projection_reads_cometric_times_momentum():
     assert np.array_equal(
         sh.projection_test(np.array([0.2, 0.1, 0.0, 0.0])), np.zeros(2)
     )
+
+
+def _loop_integral(section, rectangle):
+    """The integral of p.dq counter-clockwise around a rectangle in q,
+    (rows [lo, hi] of q1 and q2), each side by _adaptive_segment over
+    values of the section alone."""
+    (a, b), (c, d) = rectangle
+    corners = np.array([(a, c), (b, c), (b, d), (a, d), (a, c)])
+    total = 0.0
+    for start, dq in zip(corners[:-1], np.diff(corners, axis=0)):
+        total += standard._adaptive_segment(
+            lambda t: float(section(start + t * dq) @ dq), 0.0, 1.0, standard._MAX_BISECTIONS
+        )
+    return total
+
+
+@pytest.mark.parametrize("name", ["harmonic_s2", "anisotropic_s2", "free_particle_s2"])
+def test_leaves_are_lagrangian_by_stokes(name, request):
+    # a black-box check of isotropy from S's values: by Stokes the loop
+    # integral of p.dq on a leaf F = lam is the integral of S*omega over
+    # the enclosed rectangle, zero iff the leaf is Lagrangian; adding
+    # eps q1 to p2 reads eps x area
+    if name == "harmonic_s2":  # the session fixture builds this scenario
+        solution = request.getfixturevalue(name)[-1]
+    else:
+        cfg = scenarios.parse_config({"scenario": name})
+        Pi, m = cfg.fibration(), np.array(cfg.base_point)
+        F = build_first_integrals(cfg.hamiltonian(), Pi, m, probes=6, seed=0)
+        solution = solution_from_integrals(Pi, F, m, seed=0)
+    mid = solution.n_box.mean(axis=1)
+    half = 0.9 * (solution.n_box[:, 1] - solution.n_box[:, 0]) / 2.0
+    rectangle = np.column_stack([mid - half, mid + half])
+    area, eps = float(np.prod(2.0 * half)), 1e-3
+    for lam in (np.zeros(2), 0.8 * solution.lambda_box[:, 1]):
+        def section(q, lam=lam):
+            return solution(q, lam)[2:]
+
+        assert abs(_loop_integral(section, rectangle)) <= 1e-9
+        bent = _loop_integral(lambda q: section(q) + [0.0, eps * q[0]], rectangle)
+        assert abs(bent - eps * area) <= 0.1 * eps * area
