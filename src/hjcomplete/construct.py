@@ -31,7 +31,6 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import MapField, ProceduralScalar, ScalarField
@@ -508,6 +507,18 @@ def _validate_frame_invariants(state: FrameState) -> np.ndarray:
     return vals
 
 
+def _column_pivots(c: np.ndarray, r: int) -> list[int]:
+    """LAPACK dgeqp3's first r QR column pivots (Businger & Golub 1965): r times,
+    take the first unpivoted column of largest norm, project every column off it."""
+    pivots: list[int] = []
+    for _ in range(r):
+        norms = np.linalg.norm(c, axis=0)
+        norms[pivots] = -1.0
+        pivots.append(j := int(np.argmax(norms)))
+        c = c - np.outer(c[:, j], c[:, j] @ c) / (norms[j] ** 2 or 1.0)
+    return pivots
+
+
 def extend_frame(state: FrameState) -> FrameState:
     """Append one commuting Hamiltonian field to the frame.
 
@@ -537,11 +548,10 @@ def extend_frame(state: FrameState) -> FrameState:
         )
     coeff = lam0_inv[r:, :r].T  # (r, n - r): c_i^a over tail coordinates a
 
-    # Pivoted QR picks r well-conditioned tail columns; they move to the
-    # rear so the trailing r x r block is invertible and the scan below
-    # ranges over the surviving leading columns.
-    _, _, piv = scipy.linalg.qr(coeff, mode="economic", pivoting=True)
-    chosen = sorted(piv[:r])
+    # QR column pivoting (Businger-Golub) picks r well-conditioned tail
+    # columns; they move to the rear so the trailing r x r block is
+    # invertible and the scan below ranges over the surviving leading columns.
+    chosen = sorted(_column_pivots(coeff, r))
     leading = [a for a in range(n - r) if a not in set(chosen)]
     perm = leading + chosen
     if numerical_rank(coeff[:, chosen], tol.rank) < r:

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from scipy.linalg import qr
 
 from hjcomplete import construct, flows, newton, scenarios, symplectic, verify
 from hjcomplete.config import DEFAULT_TOLERANCES, Tolerances
@@ -143,6 +144,35 @@ def test_extend_stops_at_k_fields(free_s1):
     _, _, _, F, _ = free_s1
     with pytest.raises(FrameExtensionError, match="already"):
         extend_frame(F.state)
+
+
+def test_column_pivots_match_lapack_qr():
+    # LAPACK's dgeqp3, through scipy, is the oracle; a Gaussian matrix has
+    # no tied column norms, so both rules take the same argmax at each step
+    rng = np.random.default_rng(29)
+    for m in range(1, 7):
+        for r in range(1, m + 1):
+            for _ in range(10):
+                C = rng.standard_normal((r, m))
+                before = C.copy()
+                expected = qr(C, mode="economic", pivoting=True)[2][:r]
+                assert construct._column_pivots(C, r) == list(expected), C
+                assert np.array_equal(C, before)
+
+
+@pytest.mark.parametrize(
+    "row, pivot",
+    [([0.5, -2.0, 1.0], 1), ([3.0, -1.0, -3.0], 0), ([0.0, -1.5, 1.5, 1.0], 1), ([2.0], 0)],
+)
+def test_one_row_pivots_on_its_first_largest_entry(row, pivot):
+    # r = 1 on every registry scenario: the pivot is the argmax of |c|
+    assert construct._column_pivots(np.array([row]), 1) == [pivot]
+
+
+def test_zero_coefficients_pivot_in_column_order():
+    # as dgeqp3 does: no column is picked twice, and the rank check on the
+    # chosen block, not the pivots, refuses the matrix
+    assert construct._column_pivots(np.zeros((2, 4)), 2) == [0, 1]
 
 
 def test_extended_frame_commutes(harmonic_s2):
@@ -929,6 +959,70 @@ def test_solution_queries_make_one_newton_solve_and_no_inversion(
         assert DS.shape == (4, 4)
     assert inversions == []
     assert solves == [F.k] * 3
+
+
+@pytest.fixture(scope="module")
+def nonflat_cometric_s2():
+    cfg = scenarios.parse_config({"scenario": "nonflat_cometric_s2", "probes": 6})
+    F = build_first_integrals(
+        cfg.hamiltonian(), cfg.fibration(), cfg.base_point, cfg.tolerances,
+        cfg.integrator_settings(), cfg.domain_radius, probes=cfg.probes,
+        seed=cfg.seed,
+    )
+    return cfg.hamiltonian(), cfg.fibration(), np.array(cfg.base_point), F
+
+
+@pytest.mark.parametrize("pipeline", ["harmonic_s2", "anisotropic_s2", "nonflat_cometric_s2"])
+def test_solution_returns_across_its_whole_box(pipeline, request):
+    # S is validated at 20 probes, but callers sample its whole box: at 60
+    # samples with margin 1 and at every corner, S returns a point that Pi
+    # and F map back to (n, lam) within criterion 1's round-trip tolerance.
+    # The registry builds at 6 probes have the boxes of the 50-probe builds.
+    _, Pi, m, F = request.getfixturevalue(pipeline)[:4]
+    solution = solution_from_integrals(Pi, F, m, seed=0)
+    ns, lams = solution.sample_domain(60, seed=0, margin=1.0)
+    corners = np.array(list(itertools.product(*solution.n_box, *solution.lambda_box)))
+    ns = np.vstack([ns, corners[:, : solution.k]])
+    lams = np.vstack([lams, corners[:, solution.k :]])
+    for n, lam in zip(ns, lams):
+        x = solution(n, lam)
+        assert np.max(np.abs(Pi.value(x) - n)) <= 1e-8, (n, lam)
+        assert np.max(np.abs(F.integrals.value(x) - lam)) <= 1e-8, (n, lam)
+
+
+@pytest.mark.parametrize(
+    "name, build, total",
+    [
+        ("harmonic_s1", (122, 4290), (187, 5118)),
+        ("free_particle_s2", (180, 3630), (260, 4710)),
+        ("harmonic_s2", (323, 9662), (463, 12374)),
+    ],
+)
+def test_construction_work_is_pinned(name, build, total, monkeypatch):
+    # trajectories and right-hand sides of the build at 6 probes and of S's
+    # validation do not depend on the machine, so extra work fails here
+    counts = {"trajectories": 0, "rhs": 0}
+    integrate = flows._integrate
+
+    def counted_integrate(rhs, x0, t_end, settings):
+        counts["trajectories"] += 1
+
+        def counted_rhs(z):
+            counts["rhs"] += 1
+            return rhs(z)
+
+        return integrate(counted_rhs, x0, t_end, settings)
+
+    monkeypatch.setattr(flows, "_integrate", counted_integrate)
+    cfg = scenarios.parse_config({"scenario": name})
+    Pi = cfg.fibration()
+    F = build_first_integrals(
+        cfg.hamiltonian(), Pi, cfg.base_point, cfg.tolerances,
+        cfg.integrator_settings(), cfg.domain_radius, probes=6, seed=0,
+    )
+    assert (counts["trajectories"], counts["rhs"]) == build
+    solution_from_integrals(Pi, F, cfg.base_point, cfg.tolerances, seed=0)
+    assert (counts["trajectories"], counts["rhs"]) == total
 
 
 def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
