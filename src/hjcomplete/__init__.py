@@ -45,7 +45,6 @@ from .scenarios import REGISTRY, ConfigError, RunConfig, load_config, parse_conf
 from .standard import (
     CharacteristicFunction,
     QuadratureError,
-    SimpleHamiltonian,
     characteristic_family,
     characteristic_function,
     simple_hamiltonian,

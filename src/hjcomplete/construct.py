@@ -53,25 +53,21 @@ from .symplectic import (
 class HypothesisError(RuntimeError):
     """A construction hypothesis failed at the base point."""
 
-    def __init__(self, message: str, report=None):
+
+class _DiagnosedError(RuntimeError):
+    """A failure that carries its diagnostics into the report."""
+
+    def __init__(self, message: str, diagnostics: Optional[dict] = None):
         super().__init__(message)
-        self.report = report
+        self.diagnostics = diagnostics or {}
 
 
-class FrameExtensionError(RuntimeError):
+class FrameExtensionError(_DiagnosedError):
     """No admissible index b was found, or a precondition broke."""
 
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
-
-class ConstructionError(RuntimeError):
+class ConstructionError(_DiagnosedError):
     """A constructed object failed its own verification."""
-
-    def __init__(self, message: str, diagnostics: Optional[dict] = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
 
 
 class FibrationError(RuntimeError):
@@ -335,7 +331,6 @@ class AssumptionReport:
     submersion_ok: bool
     flow_transverse: bool  # X_H(m) not in Ker DPi(m)
     kernel_coisotropic: bool
-    kernel_class: object
     messages: tuple[str, ...]
 
     @property
@@ -370,12 +365,15 @@ def check_assumptions(
     submersion_ok = rank == k
     if not submersion_ok:
         messages.append(f"fibration rank {rank} < {k} at base point")
-        return AssumptionReport(s, k, l, False, False, False, None, tuple(messages))
+        return AssumptionReport(s, k, l, False, False, False, tuple(messages))
 
     kernel = nullspace(DPi, tolerances.rank)
     ker = Subspace(m, kernel, tolerances.rank)
     xh = hamiltonian_vf(hamiltonian, tolerances)(m)
-    stacked = np.hstack([kernel, xh[:, None]])
+    # the direction of X_H(m), so the relative rank cutoff cannot read its
+    # length; a zero field stays tangent
+    direction = xh / (np.linalg.norm(xh) or 1.0)
+    stacked = np.hstack([kernel, direction[:, None]])
     flow_transverse = numerical_rank(stacked, tolerances.rank) == kernel.shape[1] + 1
     if not flow_transverse:
         messages.append("Hamiltonian field at the base point is tangent to the fibre")
@@ -385,7 +383,7 @@ def check_assumptions(
         messages.append("fibre tangent space is not coisotropic at the base point")
 
     return AssumptionReport(
-        s, k, l, True, flow_transverse, cls.coisotropic, cls, tuple(messages)
+        s, k, l, True, flow_transverse, cls.coisotropic, tuple(messages)
     )
 
 
@@ -445,8 +443,7 @@ def init_frame(
     if not report.passed:
         raise HypothesisError(
             "construction hypotheses fail at the base point: "
-            + "; ".join(report.messages),
-            report,
+            + "; ".join(report.messages)
         )
     m = np.asarray(basepoint, dtype=float)
     s = fibration.dimension_s

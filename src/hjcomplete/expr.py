@@ -666,9 +666,6 @@ class ScalarField:
         self._kernels[order] = kernel
         return kernel
 
-    def serialized(self) -> str:
-        return serialize(self.ast)
-
 
 @dataclass(frozen=True)
 class ProceduralScalar:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .expr import MapField, ParseError, ScalarField
 from .flows import IntegratorSettings
-from .standard import SimpleHamiltonian, simple_hamiltonian
+from .standard import simple_hamiltonian
 
 
 class ConfigError(ValueError):
@@ -57,21 +57,10 @@ class RunConfig:
     integrals_sources: Optional[tuple[str, ...]]
     scenario_name: Optional[str]
 
-    @property
-    def k(self) -> int:
-        if self.fibration_sources is not None:
-            return len(self.fibration_sources)
-        return self.auto_k  # validated non-None for auto
-
     def hamiltonian(self) -> ScalarField:
-        if isinstance(self.hamiltonian_source, str):
-            return ScalarField.parse(self.hamiltonian_source, self.dimension_s)
-        return self.simple_hamiltonian().hamiltonian
-
-    def simple_hamiltonian(self) -> SimpleHamiltonian:
         block = self.hamiltonian_source
-        if not isinstance(block, dict):
-            raise ConfigError("hamiltonian is not a simple-Hamiltonian block")
+        if isinstance(block, str):
+            return ScalarField.parse(block, self.dimension_s)
         return simple_hamiltonian(
             block["cometric"], block["potential"], self.dimension_s
         )

@@ -5,14 +5,14 @@ value of a complete solution carries a generating function: the line
 integral of the momentum section.  This module recovers those
 characteristic functions by G7/K15 Gauss-Kronrod quadrature (one section
 solve per node, 15 per settled segment), verifies the classical equation
-through energy constancy, and builds kinetic-plus-potential Hamiltonians
-from a cometric matrix.
+through energy constancy, and assembles a kinetic-plus-potential
+Hamiltonian from a cometric block into one parsed ScalarField, so it runs
+on the same kernels as any other Hamiltonian.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +62,6 @@ class CharacteristicFunction:
         """Momentum section: the p-part of the solution at (q, lam)."""
         q = np.asarray(q, dtype=float)
         return self.solution(q, self.lam)[self.solution.dimension_s:]
-
-    def gradient(self, q) -> np.ndarray:
-        return self.section(q)
 
     def value(self, q) -> float:
         """W(q): K15 along the segment from q0, bisected until G7 agrees;
@@ -174,69 +171,17 @@ def _reject_momenta(node, what: str) -> None:
         raise ValueError(f"{what} must depend on positions only")
 
 
-@dataclass(frozen=True)
-class SimpleHamiltonian:
-    """Kinetic energy of a position-dependent cometric plus a potential.
-
-    Symmetry of the cometric is structural: entries across the diagonal
-    must parse to identical syntax trees.  Positive definiteness is a
-    pointwise property and is checked on demand.
-    """
-
-    cometric_sources: tuple[tuple[str, ...], ...]
-    potential_source: str
-    dimension_s: int
-
-    @cached_property
-    def hamiltonian(self) -> ScalarField:
-        s = self.dimension_s
-        terms = []
-        for i in range(s):
-            for j in range(s):
-                terms.append(f"({self.cometric_sources[i][j]})*p{i + 1}*p{j + 1}")
-        source = "(" + " + ".join(terms) + f")/2 + ({self.potential_source})"
-        return ScalarField.parse(source, s)
-
-    @cached_property
-    def _cometric_fields(self) -> tuple[tuple[ScalarField, ...], ...]:
-        s = self.dimension_s
-        return tuple(
-            tuple(ScalarField.parse(src, s) for src in row)
-            for row in self.cometric_sources
-        )
-
-    def cometric_value(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        x = np.concatenate([q, np.zeros(self.dimension_s)])
-        return np.array(
-            [[f.value(x) for f in row] for row in self._cometric_fields]
-        )
-
-    def check_positive_definite(self, q_points) -> None:
-        """Raise if the cometric loses positive definiteness at a point."""
-        for q in np.atleast_2d(np.asarray(q_points, dtype=float)):
-            G = self.cometric_value(q)
-            if np.min(np.linalg.eigvalsh(G)) <= 0.0:
-                raise ValueError(
-                    f"cometric is not positive definite at q = {tuple(q)}"
-                )
-
-    def projection_test(self, m) -> np.ndarray:
-        """Position components of the Hamiltonian field at m.
-
-        For a simple Hamiltonian these must equal the cometric applied to
-        the momentum, vanishing exactly on the zero section.
-        """
-        m = np.asarray(m, dtype=float)
-        return self.hamiltonian.gradient(m)[self.dimension_s:]
-
-
 def simple_hamiltonian(
     cometric: Sequence[Sequence[str]],
     potential: str,
     dimension_s: int,
-) -> SimpleHamiltonian:
-    """Assemble and validate a simple Hamiltonian from source texts."""
+) -> ScalarField:
+    """H = (1/2) sum_ij G_ij(q) p_i p_j + V(q), parsed as one ScalarField
+    from the assembled source text.
+
+    The cometric G must be s x s and symmetric by syntax (entries across
+    the diagonal parse to identical trees); G and V must not read momenta.
+    """
     s = dimension_s
     rows = tuple(tuple(str(e) for e in row) for row in cometric)
     if len(rows) != s or any(len(row) != s for row in rows):
@@ -252,4 +197,7 @@ def simple_hamiltonian(
                     f"{serialize(asts[j][i])!r}"
                 )
     _reject_momenta(parse(potential, s), "the potential")
-    return SimpleHamiltonian(rows, str(potential), s)
+    kinetic = " + ".join(
+        f"({rows[i][j]})*p{i + 1}*p{j + 1}" for i in range(s) for j in range(s)
+    )
+    return ScalarField.parse(f"({kinetic})/2 + ({potential})", s)

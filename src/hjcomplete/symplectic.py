@@ -143,10 +143,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
 
 def _classes(V: np.ndarray, W: np.ndarray, rank_tol: float):
     """(isotropic, coisotropic, symplectic) flags of stacked subspaces V
@@ -162,7 +158,7 @@ def symp_orth(V: Subspace) -> Subspace:
     w lies in the complement iff omega(b, w) = 0 for every basis vector b,
     i.e. w is in the kernel of (J B)^T.
     """
-    if V.ambient_dim % 2:
+    if V.basis.shape[0] % 2:
         raise ValueError("ambient dimension must be even")
     kernel = nullspace(apply_structure(V.basis).T, V.rank_tol)
     return Subspace(V.basepoint, kernel, V.rank_tol)

@@ -55,6 +55,24 @@ def test_check_fails_when_flow_is_tangent(tmp_path):
     assert report["assumptions"]["flow_transverse"] is False
 
 
+def test_check_passes_on_a_scaled_hamiltonian(tmp_path, capsys):
+    # a transverse field of length 1e-12 is still transverse
+    cfg = _write(
+        tmp_path,
+        "cfg.json",
+        {
+            "dimension_s": 2,
+            "hamiltonian": "1e-12*(p1^2 + p2^2)/2",
+            "fibration": ["q1", "q2"],
+            "base_point": [0.1, -0.2, 1.0, 0.6],
+        },
+    )
+    out = str(tmp_path / "run")
+    assert main(["check", "--config", cfg, "--out", out]) == 0
+    assert "check: pass" in capsys.readouterr().out
+    assert _report(out)["assumptions"]["flow_transverse"] is True
+
+
 def test_construct_artifacts_and_closed_form(tmp_path):
     out = str(tmp_path / "run")
     code = main(

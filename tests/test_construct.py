@@ -69,8 +69,40 @@ def test_assumptions_pass_for_free_particle():
     report = check_assumptions(FREE_S1, MapField.from_sources(("q1",), 1), [0.0, 1.0])
     assert report.passed
     assert (report.k, report.l) == (1, 1)
-    assert report.kernel_class.lagrangian  # a momentum line is Lagrangian
     assert report.messages == ()
+
+
+_SCALED_BASE = [0.1, -0.2, 1.0, 0.6]
+
+
+def _scaled_free_s2(c: float) -> ScalarField:
+    return ScalarField.parse(f"{c!r}*(p1^2 + p2^2)/2", 2)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-9, 1.0, 1e8, 1e10])
+def test_transversality_does_not_read_the_field_length(c):
+    # X_H(m) = c (0, 0, -1, -0.6) leaves the momentum fibres at every c > 0;
+    # the verdict reads the direction of X_H(m), not its length
+    report = check_assumptions(
+        _scaled_free_s2(c), MapField.from_sources(("q1", "q2"), 2), _SCALED_BASE
+    )
+    assert report.flow_transverse
+    assert report.passed
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e10])
+def test_tangent_flow_is_refused_at_every_scale(c):
+    report = check_assumptions(
+        _scaled_free_s2(c), MapField.from_sources(("p1", "p2"), 2), _SCALED_BASE
+    )
+    assert not report.flow_transverse
+    assert not report.passed
+
+
+def test_zero_field_is_tangent():
+    H = ScalarField.parse("q1^2/2", 1)  # X_H vanishes where q1 = 0
+    report = check_assumptions(H, MapField.from_sources(("q1",), 1), [0.0, 1.0])
+    assert not report.flow_transverse
 
 
 def test_assumptions_catch_tangent_flow():
@@ -148,7 +180,9 @@ def test_extend_stops_at_k_fields(free_s1):
 
 def test_column_pivots_match_lapack_qr():
     # LAPACK's dgeqp3, through scipy, is the oracle; a Gaussian matrix has
-    # no tied column norms, so both rules take the same argmax at each step
+    # no tied column norms, so both rules take the same argmax at each step.
+    # Pivots and the trailing-block rank check see the matrix at every
+    # scale alike: the cutoffs are relative
     rng = np.random.default_rng(29)
     for m in range(1, 7):
         for r in range(1, m + 1):
@@ -158,6 +192,10 @@ def test_column_pivots_match_lapack_qr():
                 expected = qr(C, mode="economic", pivoting=True)[2][:r]
                 assert construct._column_pivots(C, r) == list(expected), C
                 assert np.array_equal(C, before)
+                chosen = sorted(expected)
+                for c in (1e-12, 1e-6, 1e6, 1e12):
+                    assert construct._column_pivots(c * C, r) == list(expected), (c, C)
+                    assert numerical_rank(c * C[:, chosen], TOL.rank) == r, (c, C)
 
 
 @pytest.mark.parametrize(

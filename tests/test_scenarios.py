@@ -24,7 +24,7 @@ _MINIMAL = {
 def test_minimal_config_defaults():
     cfg = parse_config(dict(_MINIMAL))
     assert cfg.dimension_s == 1
-    assert cfg.k == 1
+    assert cfg.fibration_sources == ("q1",)
     assert cfg.probes == 50
     assert cfg.lambda_grid == 3
     assert cfg.seed == 0
@@ -120,7 +120,7 @@ def test_auto_fibration_config():
         }
     )
     assert cfg.fibration_sources is None
-    assert cfg.k == 2
+    assert cfg.auto_k == 2
     assert cfg.fibration() is None
 
 
@@ -136,8 +136,6 @@ def test_simple_hamiltonian_block():
             "base_point": [0.2, 0.1, 0.9, 0.5],
         }
     )
-    sh = cfg.simple_hamiltonian()
-    assert sh.cometric_value([0.2, 0.1])[1, 1] == pytest.approx(1 / 1.04)
     # the assembled Hamiltonian is what a plain-text config would parse
     assert cfg.hamiltonian().value([0.2, 0.1, 0.9, 0.5]) == pytest.approx(
         0.9**2 / 2 + 0.5**2 / (2 * 1.04) + (0.2**2 + 0.1**2) / 2

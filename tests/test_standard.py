@@ -55,7 +55,7 @@ def test_linear_section_integrates_exactly():
     for q in (-0.8, -0.1, 0.3, 0.95):
         assert W.value([q]) == pytest.approx(1.2 * (q - 0.3), abs=1e-12)
     assert W.value([0.3]) == 0.0
-    assert np.array_equal(W.gradient([0.7]), np.array([1.2]))
+    assert np.array_equal(W.section([0.7]), np.array([1.2]))
 
 
 def test_oscillator_matches_closed_form():
@@ -269,8 +269,7 @@ def test_constructed_section_is_a_gradient(harmonic_s2):
 
 
 def test_simple_hamiltonian_assembles():
-    sh = simple_hamiltonian([["1", "0"], ["0", "1"]], "(q1^2 + q2^2)/2", 2)
-    H = sh.hamiltonian
+    H = simple_hamiltonian([["1", "0"], ["0", "1"]], "(q1^2 + q2^2)/2", 2)
     x = np.array([0.3, -0.4, 1.1, 0.2])
     expected = (1.1**2 + 0.2**2) / 2.0 + (0.3**2 + 0.4**2) / 2.0
     assert H.value(x) == pytest.approx(expected, rel=1e-14)
@@ -293,28 +292,6 @@ def test_momenta_are_rejected():
         simple_hamiltonian([["p1"]], "0", 1)
     with pytest.raises(ValueError, match="positions only"):
         simple_hamiltonian([["1"]], "q1 + p1^2", 1)
-
-
-def test_positive_definiteness_is_pointwise():
-    sh = simple_hamiltonian([["q1", "0"], ["0", "1"]], "0", 2)
-    sh.check_positive_definite([[1.0, 0.0], [0.5, 2.0]])
-    with pytest.raises(ValueError, match="positive definite"):
-        sh.check_positive_definite([[-1.0, 0.0]])
-
-
-def test_projection_reads_cometric_times_momentum():
-    sh = simple_hamiltonian(
-        [["1", "0"], ["0", "1/(1 + q1^2)"]], "(q1^2 + q2^2)/2", 2
-    )
-    m = np.array([0.2, 0.1, 0.9, 0.5])
-    proj = sh.projection_test(m)
-    G = sh.cometric_value(m[:2])
-    assert np.max(np.abs(proj - G @ m[2:])) < 1e-14
-    assert proj[1] == pytest.approx(0.5 / 1.04, rel=1e-12)
-    # on the zero section nothing moves
-    assert np.array_equal(
-        sh.projection_test(np.array([0.2, 0.1, 0.0, 0.0])), np.zeros(2)
-    )
 
 
 def _loop_integral(section, rectangle):
