@@ -47,6 +47,7 @@ from .symplectic import (
     nullspace,
     numerical_rank,
     structure_matrix,
+    unit_columns,
 )
 
 
@@ -160,6 +161,21 @@ def _level_poisson(chart: FlowBoxChart, parent: Callable, column: Optional[int])
         dlam[:, :, r + 1 :] = tail
         return out, dlam
 
+    def rows(Y: np.ndarray) -> np.ndarray:
+        """lam's value at each row of a (P, n) stack, by broadcasting."""
+        Z = base + Y[:, r + 1 :] @ S.T
+        L = getattr(parent, "rows", parent)(Z)  # the canonical J broadcasts
+        X = chart.field.rows(Z) if column is None else L[:, :, column]
+        w = X @ Ot.T
+        wr = w[:, r].copy()
+        if not np.all((0.0 < np.abs(wr)) & (np.abs(wr) < np.inf)):
+            for Xi in X:  # the first failing row raises as lam would
+                _slice_inverse(Ot, c, r, Xi)
+        w[:, r] = wr - 1.0
+        Qinv = Ot - (w / wr[:, None])[:, :, None] * c
+        return Qinv @ L @ Qinv.mT
+
+    lam.rows = rows
     return lam
 
 
@@ -370,10 +386,7 @@ def check_assumptions(
     kernel = nullspace(DPi, tolerances.rank)
     ker = Subspace(m, kernel, tolerances.rank)
     xh = hamiltonian_vf(hamiltonian, tolerances)(m)
-    # the direction of X_H(m), so the relative rank cutoff cannot read its
-    # length; a zero field stays tangent
-    direction = xh / (np.linalg.norm(xh) or 1.0)
-    stacked = np.hstack([kernel, direction[:, None]])
+    stacked = unit_columns(np.hstack([kernel, xh[:, None]]))  # a zero field stays tangent
     flow_transverse = numerical_rank(stacked, tolerances.rank) == kernel.shape[1] + 1
     if not flow_transverse:
         messages.append("Hamiltonian field at the base point is tangent to the fibre")
@@ -492,9 +505,9 @@ def _validate_frame_invariants(state: FrameState) -> np.ndarray:
             f"frame is not isotropic at the base point: |omega| = {worst:.3e}",
             {"pairwise_omega": worst},
         )
-    if numerical_rank(vals, tol.rank) != r:
+    if numerical_rank(unit_columns(vals), tol.rank) != r:
         raise FrameExtensionError("frame fields are dependent at the base point")
-    stacked = np.hstack([vals, state.kernel_basis])
+    stacked = unit_columns(np.hstack([vals, state.kernel_basis]))
     want = r + state.kernel_basis.shape[1]
     got = numerical_rank(stacked, tol.rank)
     if got != want:
@@ -564,7 +577,7 @@ def extend_frame(state: FrameState) -> FrameState:
     for b in range(r, n - r):
         candidate = D0 @ lam0[:, b]
         stacked = np.column_stack([frame_vals, candidate, state.kernel_basis])
-        sv = np.linalg.svd(stacked, compute_uv=False)
+        sv = np.linalg.svd(unit_columns(stacked), compute_uv=False)
         rank = _rank(sv, tol.rank)
         if rank == want:
             score = sv[want - 1]
@@ -595,7 +608,7 @@ def extend_frame(state: FrameState) -> FrameState:
             return out[0][:, best_b], out[1][:, best_b, :]
         return out[:, best_b]
 
-    lifted = VectorField(ghat, state.dimension_s)
+    lifted = VectorField(ghat, state.dimension_s, lambda Y: lam_fn.rows(Y)[:, :, best_b])
     try:
         new_chart = FlowBoxChart.build(
             np.zeros(n), lifted, r, state.settings, tol, state.initial_radius

@@ -21,9 +21,11 @@ straight-line Python function, forward mode over the structurally nonzero
 entries with constants folded and the finiteness and domain checks
 inline.  Its arithmetic is that of second order dual numbers term by term,
 so derivatives are exact.  When a check fails the float walk reruns to
-name the failing subexpression.  Kernel code comes from the tree alone
-(literals by repr, variables by index, functions from _FUNC_TABLE) and runs
-without builtins.  Finite differences appear nowhere in this module; they
+name the failing subexpression.  The field kernel's code also runs on
+numpy rows (hamiltonian_rows) with one finiteness test per call, where
+the float code's domain faults show as inf or NaN.  Kernel code comes
+from the tree alone (literals by repr, variables by index, functions
+from _FUNC_TABLE) and runs without builtins.  Finite differences appear nowhere in this module; they
 are reserved for test oracles.
 """
 
@@ -539,7 +541,7 @@ class _KernelWriter:
                 h[i, j] = _op(_mul(f1, ah.get((i, j))), "+", _mul(f2, ag.get(i), ag.get(j)))
         return self.node(f, {i: _mul(f1, q) for i, q in ag.items()}, h)
 
-    def source(self, root: Node) -> str:
+    def source(self, root: Node, stack: bool = False) -> str:
         _, g, h = self.emit(root)
         n = 2 * self.s
         grad = [g.get(i, 0.0) for i in range(n)] if self.field or self.order == 1 else []
@@ -557,9 +559,24 @@ class _KernelWriter:
             if name in live or _RAISES_RE.search(code):
                 live.update(_LOCAL_RE.findall(code))
                 body.insert(0, f"    {name} = {code}")
-        lines = ["def kernel(x):", f"    {', '.join(f'x{i}' for i in range(n))}, = x", *body]
-        if checks:
+        head = f"    {', '.join(f'x{i}' for i in range(n))}, = x"
+        if stack:  # numpy rows: what raises on floats gives inf or NaN, so it is
+            # checked too, in one test; constants broadcast as z + c, z = -0.0
+            checks.update((line.split()[0], None) for line in body if _RAISES_RE.search(line))
+            wide = {f"x{i}" for i in range(n)}
+            for name, code in self.lines:
+                if wide.intersection(_LOCAL_RE.findall(code)):
+                    wide.add(name)
+            outputs, checks = ([
+                q if isinstance(q, str) and wide.intersection(_LOCAL_RE.findall(q))
+                else f"(z + {_code(q)})" for q in qs
+            ] for qs in (outputs, checks))
+            test = f"isfinite(({', '.join(checks)},))"
+            lines = ["def kernel(x, z):", head, *body]
+        else:
             test = " and ".join(f"isfinite({q})" for q in checks)
+            lines = ["def kernel(x):", head, *body]
+        if checks:
             lines += [f"    if not ({test}):", "        return None"]
         return "\n".join(lines + [f"    return ({', '.join(map(_code, outputs))},)\n"])
 
@@ -568,13 +585,17 @@ _FLOAT64 = np.dtype(float)
 _KERNELS: dict[tuple, Callable] = {}  # (ast, dimension_s, order), oldest out past 1024
 
 
-def _compile(ast: Node, s: int, order: int) -> Callable:
-    """kernel([x0, .., x_{2s-1}]): the order's flat outputs, None on failure."""
+def _compile(ast: Node, s: int, order: int | str) -> Callable:
+    """kernel([x0, .., x_{2s-1}]): the order's flat outputs, None on failure;
+    order "rows" is order -1 on numpy rows, kernel(x (2s, P), z (P,) of -0.0)."""
+    rows = order == "rows"
     try:
-        code = _KernelWriter(s, order).source(ast)
+        code = _KernelWriter(s, -1 if rows else order).source(ast, stack=rows)
     except ArithmeticError:  # a constant subtree fails or overflows
-        code = "def kernel(x):\n    return None\n"
-    namespace = {"__builtins__": {}, "isfinite": math.isfinite, **_FUNC_TABLE}
+        code = "def kernel(*x):\n    return None\n"
+    table = {name: getattr(np, name) for name in FUNCTION_NAMES} if rows else _FUNC_TABLE
+    isfinite = (lambda qs: bool(np.isfinite(qs).all())) if rows else math.isfinite
+    namespace = {"__builtins__": {}, "isfinite": isfinite, **table}
     exec(compile(code, "<expr kernel>", "exec"), namespace)
     return namespace.pop("kernel")
 
@@ -651,12 +672,24 @@ class ScalarField:
         out = np.array(out)
         return (out[:n], out[n:].reshape(n, n)) if derivative else out
 
+    def hamiltonian_rows(self, X) -> np.ndarray:
+        """hamiltonian_field at each row of a (P, 2s) stack by the X kernel's
+        code on numpy rows: the same bits for + - * / and integer powers, a
+        few ulp off for functions; a failing stack reruns row by row."""
+        X = np.asarray(X, dtype=float)
+        kernel = self._kernels.get("rows") or self._kernel("rows")
+        with np.errstate(all="ignore"):
+            out = kernel(np.ascontiguousarray(X.T), np.full(len(X), -0.0))
+        if out is None:
+            return np.array([self.hamiltonian_field(x) for x in X]).reshape(X.shape)
+        return np.array(out).T
+
     def _fail(self, vals: list, order: int):
         """A kernel check failed: the tree walk names the subexpression."""
         _evaluate(self.ast, vals, self.dimension_s, order)
         raise EvaluationError(f"non finite {('gradient', 'hessian')[order - 1]}", self.source)
 
-    def _kernel(self, order: int) -> Callable:
+    def _kernel(self, order: int | str) -> Callable:
         key = (self.ast, self.dimension_s, order)
         kernel = _KERNELS.get(key)
         if kernel is None:

@@ -10,6 +10,9 @@ coarser answer; a fixed step classical RK4 is available only on request
 equation alongside the state and returns the flow differential.  A field
 that leaves its domain (log(q1) at q1 <= 0) fails its flow with FlowError,
 so a chart probe whose flow leaves the domain is a failed probe.
+_integrate_rows runs the same method on a stack of rows in lockstep, each
+row with its own end time, step and error control; a chart validates its
+probes as such batches, while single trajectories keep _integrate.
 
 A FlowBoxChart straightens one field X near a base point m:
 
@@ -21,7 +24,8 @@ invariant (an earlier chart straightened them), so they enter as plain
 translations; its last columns span a transversal to them and to X(m).
 In chart coordinates X becomes the shift along y_r, which is what the
 rest of the package builds on.  A point inverts by flowing back along X
-to the slice hyperplane: Newton in the one slice time (event location).
+to the slice hyperplane: Newton in the one slice time (event location),
+whose field value at each iterate is also the first stage of its flow.
 leaf(tail) maps a sequence of heads (a Newton solve on one leaf) to psi
 and D psi by continuing one flow, so it integrates each stretch once.
 """
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .symplectic import VectorField, numerical_rank
+from .symplectic import VectorField, numerical_rank, unit_columns
 
 __all__ = [
     "FlowError",
@@ -147,6 +151,87 @@ def _integrate(rhs, x0: np.ndarray, t_end: float, settings: IntegratorSettings) 
     raise FlowError("step count exceeded in adaptive integration")
 
 
+def _combine(coefs: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum_j coefs[j] K[j] over the nonzero coefs, one elementwise term at
+    a time, so a row's sum does not depend on the rows beside it."""
+    terms = [a * k for a, k in zip(coefs, K) if a]
+    for term in terms[1:]:
+        terms[0] += term
+    return terms[0]
+
+
+def _integrate_rows(rhs, X0: np.ndarray, T: np.ndarray, settings: IntegratorSettings) -> np.ndarray:
+    """_integrate from each row of X0 (P, n) to its own time T[i], with rhs
+    taking a stack of rows: one lockstep loop of _integrate's tableau and
+    step rule in which each row keeps its own step, error norm and
+    accept/reject, a finished row leaves the active set, and a failing row
+    raises FlowError naming it.  The rk4-fixed method runs row by row."""
+    X, T = np.array(X0, dtype=float), np.asarray(T, dtype=float)
+    rows = np.flatnonzero(T)
+    if settings.method == "rk4-fixed":
+        for i in rows:
+            X[i] = _integrate(lambda z: rhs(z[None])[0], X[i], T[i], settings)
+        return X
+    x, t_end, t, n = X[rows], T[rows], np.zeros(rows.size), X.shape[1]
+    span, K = np.abs(t_end), np.empty((6, rows.size, n))
+
+    def fail(bad, what: str):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FlowError(f"row {rows[i]}: {what} at t = {t[i]:.6e}")
+
+    def slopes(Z, at):  # a field that raises names the first row it raises at
+        try:
+            return rhs(Z)
+        except ArithmeticError:
+            for z, row, ti in zip(Z, rows[at], t[at]):
+                try:
+                    rhs(z[None])
+                except ArithmeticError as exc:
+                    raise FlowError(f"row {row}: field left its domain at t = {ti:.6e}: {exc}") from exc
+            raise
+
+    if rows.size:
+        K[0] = slopes(x, slice(None))
+        fail(~np.isfinite(K[0]).all(axis=1), "non finite right hand side")
+        scale0 = (1.0 + np.linalg.norm(x, axis=1)) / (1.0 + np.linalg.norm(K[0], axis=1))
+        h = np.copysign(np.minimum(span, np.maximum(1e-6, 0.01 * scale0)), t_end)
+    for _ in range(settings.max_steps):
+        if not rows.size:
+            return X
+        h = np.where(np.abs(h) > np.abs(t_end - t), t_end - t, h)
+        for i in range(1, 6):
+            K[i] = slopes(x + h[:, None] * _combine(_ROWS[i], K), slice(None))
+        x5 = x + h[:, None] * _combine(_B5, K)
+        delta = h[:, None] * _combine(_E, K)
+        finite = np.isfinite(x5).all(axis=1) & np.isfinite(delta).all(axis=1)
+        fail(~finite, "non finite state in adaptive integration")
+        q = delta / (settings.abs_tol + settings.rel_tol * np.maximum(np.abs(x), np.abs(x5)))
+        err = np.sqrt(np.add.reduce(q * q, axis=1) / n)
+        ok = err <= 1.0
+        t, x = np.where(ok, t + h, t), np.where(ok[:, None], x5, x)
+        with np.errstate(divide="ignore"):
+            h = h * np.where(err == 0.0, 5.0, np.minimum(5.0, np.maximum(0.2, 0.9 * err**-0.2)))
+        done = ok & (np.abs(t - t_end) <= _MIN_STEP_FRACTION * span)
+        if done.any():
+            X[rows[done]], keep = x[done], ~done
+            rows, x, t, t_end, span, h, ok = (a[keep] for a in (rows, x, t, t_end, span, h, ok))
+            K = K[:, keep]
+        if ok.any():  # a rejected step keeps the slope at its start
+            K[0, ok] = slopes(x[ok], ok)
+        fail(np.abs(h) < _MIN_STEP_FRACTION * np.maximum(1.0, span), "adaptive step underflow")
+    fail(np.full(rows.size, True), "step count exceeded in adaptive integration")
+    return X
+
+
+def _primed(rhs, X: np.ndarray):
+    """rhs, but its first call returns X, the slope already evaluated at the
+    start point, unless rows of zero time left it smaller (later calls of
+    one integration never grow)."""
+    first = [X]
+    return lambda z: first.pop() if first and first[0].shape == np.shape(z) else rhs(z)
+
+
 def flow(
     field: VectorField,
     x0,
@@ -239,7 +324,7 @@ class FlowBoxChart:
         n = basepoint.shape[0]
         F = np.eye(n)[:, : axis + 1]
         F[:, axis] = field(basepoint)
-        if numerical_rank(F, tolerances.rank) <= axis:
+        if numerical_rank(unit_columns(F), tolerances.rank) <= axis:
             raise ChartError(
                 "field is zero or dependent on the straightened directions "
                 "at the base point"
@@ -270,13 +355,34 @@ class FlowBoxChart:
         )
 
     def _probe_domain(self, probes: np.ndarray) -> bool:
-        for y in probes:
-            try:
-                if np.linalg.norm(self.inverse(self.forward(y)) - y) > 1e-6:
+        """Whether every probe y round-trips, |inverse(forward(y)) - y| <= 1e-6,
+        with all probes as rows of lockstep batches: one forward flow, then
+        inverse's slice-time Newton (its reach rule, tolerance and 50 steps)."""
+        m, B, c, r = self.basepoint, self.slice_basis, self.slice_normal, self.axis
+        field, reach = self.field.rows, self.SLICE_TIME_REACH * self.domain_radius
+        left, t, y = np.arange(len(probes)), np.zeros(len(probes)), np.empty_like(probes)
+        try:  # |y_r| <= radius: no probe passes the forward map's reach
+            x = _integrate_rows(field, m + probes @ B.T, probes[:, r], self.settings)
+            for _ in range(50):
+                g = (x - m) @ c
+                done = np.abs(g) <= self.tolerances.newton
+                y[left[done]] = (x[done] - m) @ B
+                y[left[done], r] = t[done]
+                left, x, t, g = left[~done], x[~done], t[~done], g[~done]
+                if not left.size:
+                    return not np.any(np.linalg.norm(y - probes, axis=1) > 1e-6)
+                X = field(x)
+                w = X @ c
+                step = np.divide(g, w, out=np.full_like(g, np.inf), where=w != 0.0)
+                over = (np.abs(t) < reach) & (reach < np.abs(t + step)) & np.isfinite(step)
+                step = np.where(over, np.copysign(reach, t + step) - t, step)
+                if not np.all(np.abs(t + step) <= reach):
                     return False
-            except (FlowError, ChartError):
-                return False
-        return True
+                x = _integrate_rows(_primed(field, X), x, -step, self.settings)
+                t = t + step
+        except (FlowError, ArithmeticError):
+            pass
+        return False
 
     def _field_at(self, x: np.ndarray) -> np.ndarray:
         try:
@@ -350,11 +456,12 @@ class FlowBoxChart:
                 y = self.slice_basis.T @ (x - m)
                 y[self.axis] = t
                 return y
-            w = float(c @ self._field_at(x))
+            X = self._field_at(x)
+            w = float(c @ X)
             step = g / w if w else math.inf
             if abs(t) < reach < abs(t + step) < math.inf:  # an overshoot stops at the reach
                 step = math.copysign(reach, t + step) - t
             self._within_reach(t + step, f" (c.X = {w:.3e})")
-            x = _integrate(self.field.evaluate, x, -step, self.settings)
+            x = _integrate(_primed(self.field.evaluate, X), x, -step, self.settings)
             t += step
         raise ChartError(f"point outside chart domain: |g| {abs(g):.3e} after 50 steps")

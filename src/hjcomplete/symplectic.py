@@ -13,7 +13,7 @@ singular value; the cutoff comes from a shared Tolerances instance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "apply_structure",
     "isotropy_defect",
     "numerical_rank",
+    "unit_columns",
     "nullspace",
     "Subspace",
     "SubspaceClass",
@@ -89,6 +90,13 @@ def numerical_rank(A: np.ndarray, rank_tol: float = DEFAULT_TOLERANCES.rank):
     """Rank of a matrix, or the ranks of a stack (P, m, n) as an array."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     return _rank(np.linalg.svd(A, compute_uv=False), rank_tol)
+
+
+def unit_columns(V: np.ndarray) -> np.ndarray:
+    """V with each nonzero column scaled to length 1, so that the relative
+    rank cutoff reads directions only, not lengths."""
+    norms = np.linalg.norm(V, axis=0)
+    return V / np.where(norms > 0.0, norms, 1.0)
 
 
 def _kernels(A: np.ndarray, rank_tol: float) -> list:
@@ -197,13 +205,21 @@ class VectorField:
     hamiltonian_vf is, returns the pair (X(x), DX(x)) for derivative=True
     from one evaluation, its value bitwise the plain one; a parsed scalar's
     field makes one generated kernel call either way.  Calling gives X(x).
+    stacked, if given, maps a (P, 2s) stack of points to its (P, 2s) values.
     """
 
     evaluate: Callable[..., np.ndarray]
     dimension_s: int
+    stacked: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self.evaluate(np.asarray(x, dtype=float)), dtype=float)
+
+    def rows(self, X: np.ndarray) -> np.ndarray:
+        """X at each row of a (P, 2s) stack: stacked, else evaluate per row."""
+        if self.stacked is not None:
+            return self.stacked(X)
+        return np.array([self.evaluate(x) for x in X], dtype=float).reshape(X.shape)
 
 
 def fd_jacobian(
@@ -246,7 +262,7 @@ def hamiltonian_vf(
     procedural one takes its gradient, and for DX_f central differences.
     """
     if isinstance(f, ScalarField):
-        return VectorField(f.hamiltonian_field, f.dimension_s)
+        return VectorField(f.hamiltonian_field, f.dimension_s, f.hamiltonian_rows)
 
     def evaluate(x: np.ndarray, derivative: bool = False):
         value = apply_structure(f.gradient(x))

@@ -99,6 +99,17 @@ def test_tangent_flow_is_refused_at_every_scale(c):
     assert not report.passed
 
 
+def test_frame_rank_tests_do_not_read_the_field_length():
+    # the frame, candidate and chart rank tests read unit columns: at
+    # c = 1e10 the frame builds, and at c = 1e-6 the slow flow fails at
+    # level 1's reach like any slow flow, not as a dependent field
+    Pi = MapField.from_sources(("q1", "q2"), 2)
+    F = build_first_integrals(_scaled_free_s2(1e10), Pi, _SCALED_BASE, probes=6, seed=0)
+    assert F.diagnostics["b_history"] == (2,)
+    with pytest.raises(flows.ChartError, match=r"level 1 chart forward: .* passes 2 domain radii"):
+        build_first_integrals(_scaled_free_s2(1e-6), Pi, _SCALED_BASE, probes=6, seed=0)
+
+
 def test_zero_field_is_tangent():
     H = ScalarField.parse("q1^2/2", 1)  # X_H vanishes where q1 = 0
     report = check_assumptions(H, MapField.from_sources(("q1",), 1), [0.0, 1.0])
@@ -1038,20 +1049,29 @@ def test_solution_returns_across_its_whole_box(pipeline, request):
 )
 def test_construction_work_is_pinned(name, build, total, monkeypatch):
     # trajectories and right-hand sides of the build at 6 probes and of S's
-    # validation do not depend on the machine, so extra work fails here
+    # validation do not depend on the machine, so extra work fails here; a
+    # lockstep batch counts one trajectory per flowed row and one right-hand
+    # side per active row of each call
     counts = {"trajectories": 0, "rhs": 0}
-    integrate = flows._integrate
+    integrate, integrate_rows = flows._integrate, flows._integrate_rows
+
+    def counted_rhs(rhs):
+        def call(z):
+            counts["rhs"] += len(z) if z.ndim == 2 else 1
+            return rhs(z)
+
+        return call
 
     def counted_integrate(rhs, x0, t_end, settings):
         counts["trajectories"] += 1
+        return integrate(counted_rhs(rhs), x0, t_end, settings)
 
-        def counted_rhs(z):
-            counts["rhs"] += 1
-            return rhs(z)
-
-        return integrate(counted_rhs, x0, t_end, settings)
+    def counted_rows(rhs, X0, T, settings):
+        counts["trajectories"] += np.count_nonzero(T)
+        return integrate_rows(counted_rhs(rhs), X0, T, settings)
 
     monkeypatch.setattr(flows, "_integrate", counted_integrate)
+    monkeypatch.setattr(flows, "_integrate_rows", counted_rows)
     cfg = scenarios.parse_config({"scenario": name})
     Pi = cfg.fibration()
     F = build_first_integrals(
@@ -1061,6 +1081,59 @@ def test_construction_work_is_pinned(name, build, total, monkeypatch):
     assert (counts["trajectories"], counts["rhs"]) == build
     solution_from_integrals(Pi, F, cfg.base_point, cfg.tolerances, seed=0)
     assert (counts["trajectories"], counts["rhs"]) == total
+
+
+def _scalar_verdict(chart, probes) -> bool:
+    """The per-probe loop that the lockstep batch replaced, as an oracle."""
+    for y in probes:
+        try:
+            if np.linalg.norm(chart.inverse(chart.forward(y)) - y) > 1e-6:
+                return False
+        except (flows.FlowError, flows.ChartError):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(scenarios.REGISTRY))
+def test_batched_probe_verdict_is_the_scalar_loop(name, monkeypatch):
+    # every radius round of every registry chart, and each final chart at
+    # twice its radius, where anisotropic_s2 fails at both levels
+    rounds, probe_domain = [], flows.FlowBoxChart._probe_domain
+
+    def recorded(chart, probes):
+        rounds.append((chart, probes, probe_domain(chart, probes)))
+        return rounds[-1][2]
+
+    monkeypatch.setattr(flows.FlowBoxChart, "_probe_domain", recorded)
+    cfg = scenarios.parse_config({"scenario": name})
+    build_first_integrals(
+        cfg.hamiltonian(), cfg.fibration(), cfg.base_point, cfg.tolerances,
+        cfg.integrator_settings(), cfg.domain_radius, probes=6, seed=0,
+    )
+    for chart, probes, verdict in list(rounds):
+        assert verdict == _scalar_verdict(chart, probes)
+        if verdict:
+            wide = dataclasses.replace(chart, domain_radius=2.0 * chart.domain_radius)
+            doubled = probe_domain(wide, 2.0 * probes)
+            assert doubled == _scalar_verdict(wide, 2.0 * probes)
+            assert not (doubled and name == "anisotropic_s2")
+
+
+def test_stacked_lifted_fields_are_the_fields_at_each_row(harmonic_s2, oscillator_s3_tower):
+    # the level Poisson matrices on a stack, and the lifted field a chart
+    # above them flows, against their value at each row
+    towers = (harmonic_s2[3].state.tower, oscillator_s3_tower)
+    for tower in towers:
+        n = 2 * tower.dimension_s
+        ys = np.random.default_rng(1).uniform(-0.2, 0.2, size=(7, n))
+        for lam in tower.poissons[1:]:
+            stacked = lam.rows(ys)
+            for y, L in zip(ys, stacked):
+                assert np.max(np.abs(L - lam(y))) <= 1e-13 * np.max(np.abs(L))
+        for chart in tower.charts[1:]:
+            stacked = chart.field.rows(ys)
+            for y, X in zip(ys, stacked):
+                assert np.max(np.abs(X - chart.field(y))) <= 1e-13 * np.max(np.abs(X))
 
 
 def test_isotropy_check_reuses_the_hje_solves(harmonic_s2, monkeypatch):
@@ -1498,6 +1571,17 @@ def test_random_hamiltonians_construct_or_fail_by_name(case):
         return
     assert all(report.passed for report in reports), [str(r) for r in reports]
     assert np.max(np.abs(np.array(values) - lams)) < 1e-7
+
+
+@settings(max_examples=10, derandomize=True)
+@given(_random_hamiltonians())
+def test_stacked_hamiltonian_field_is_the_field_at_each_row_bitwise(case):
+    s, source, m = case
+    X = hamiltonian_vf(ScalarField.parse(source, s), TOL)
+    points = np.array(m) + np.random.default_rng(0).uniform(-0.5, 0.5, size=(9, 2 * s))
+    rows = X.rows(points)
+    for point, row in zip(points, rows):
+        assert np.array_equal(X.evaluate(point).view(np.int64), row.view(np.int64))
 
 
 def test_random_cubic_hamiltonian_inverts_at_every_probe():

@@ -502,6 +502,40 @@ def test_field_kernels_are_j_times_the_derivative_kernels_bitwise(case):
         assert both[:1] == plain
 
 
+def _exact_arithmetic(node) -> bool:
+    """Whether a tree uses + - * / and integer powers only."""
+    if isinstance(node, Call):
+        return False
+    if isinstance(node, BinOp) and node.op == "^" and expr._integer_exponent(node.right) is None:
+        return False
+    return all(_exact_arithmetic(c) for c in vars(node).values() if not isinstance(c, (str, int, float)))
+
+
+@given(st.integers(1, 3).flatmap(_kernel_cases))
+def test_stacked_field_is_the_field_at_each_row(case):
+    """On a stack of rows the field kernel gives the per-point field's bits
+    for + - * / and integer powers, agrees within a few ulp with sin, cos,
+    exp, log and sqrt, and fails with the first failing row's message."""
+    s, tree, x = case
+    f = ScalarField(serialize(tree), tree, s)
+    points = np.array([x, np.multiply(x, 0.5), np.negative(x), np.add(x, 0.25)])
+    want = [_bits(f.hamiltonian_field, point) for point in points]
+    failure = next((w for w in want if isinstance(w, str)), None)
+    if failure is not None:
+        with pytest.raises(EvaluationError) as err:
+            f.hamiltonian_rows(points)
+        assert str(err.value) == failure
+        return
+    rows = f.hamiltonian_rows(points)
+    if _exact_arithmetic(tree):
+        assert [[row.view(np.int64).tolist()] for row in rows] == want
+    else:
+        # ulp of the terms that cancel: their size is that of f or its field
+        fields = np.array([f.hamiltonian_field(point) for point in points])
+        scale = 1.0 + np.max(np.abs(fields)) + max(abs(f.value(point)) for point in points)
+        npt.assert_allclose(rows, fields, rtol=1e-13, atol=1e-13 * scale)
+
+
 def test_field_with_jacobian_fails_as_the_first_failing_derivative():
     # the gradient already overflows: X with DX fails as gradient does
     X = hamiltonian_vf(ScalarField.parse("exp(2*q1)/2", 1))

@@ -1,5 +1,7 @@
 """Trajectory integration and straightening charts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -373,3 +375,70 @@ def test_dependent_frame_rejected():
     with pytest.raises(ChartError, match="dependent"):
         FlowBoxChart.build(np.zeros(4), _constant(np.zeros(4)))
 
+
+
+# ---------------------------------------------------------------------------
+# lockstep rows and one field evaluation per inversion step
+
+
+def _counted(rhs, counts, key):
+    def call(z):
+        counts[key] = counts.get(key, 0) + (len(z) if np.ndim(z) == 2 else 1)
+        return rhs(z)
+
+    return call
+
+
+def test_each_row_is_its_batch_of_one_and_its_scalar_flow():
+    # a mixed batch of zero, negative and unequal times on a cubic field:
+    # each row ends on the bits of its batch of one, within 1e-12 of
+    # _integrate and after as many right-hand sides
+    X = hamiltonian_vf(ScalarField.parse("(q1^2 + p1^2)/2 + p2^2/2 + 0.1*q1*q2^3", 2), TOL)
+    x0 = np.random.default_rng(5).uniform(-0.8, 0.8, size=(7, 4))
+    times = np.array([0.37, 0.0, -1.3, 4.0, -0.0, 1e-3, -2.5])
+    settings = IntegratorSettings()
+    batch = flows._integrate_rows(X.rows, x0, times, settings)
+    for i, t in enumerate(times):
+        counts = {}
+        alone = flows._integrate_rows(_counted(X.rows, counts, "row"), x0[i : i + 1], times[i : i + 1], settings)
+        assert np.array_equal(alone[0].view(np.int64), batch[i].view(np.int64))
+        if t == 0.0:
+            assert np.array_equal(alone[0], x0[i]) and counts == {}
+            continue
+        scalar = flows._integrate(_counted(X.evaluate, counts, "scalar"), x0[i], t, settings)
+        assert np.max(np.abs(alone[0] - scalar)) <= 1e-12
+        assert counts["row"] == counts["scalar"] > 0
+
+
+def test_a_row_that_leaves_the_field_domain_fails_by_its_row():
+    # X = (1, -log(q1) - 1) of p1 + q1*log(q1): row 1 flows back past q1 = 0
+    X = hamiltonian_vf(ScalarField.parse("p1 + q1*log(q1)", 1), TOL)
+    x0 = np.array([[0.5, 1.0], [0.2, 1.0], [0.9, 0.0]])
+    with pytest.raises(FlowError, match=r"^row 1: field left its domain at t = .*log"):
+        flows._integrate_rows(X.rows, x0, np.array([-0.3, -0.5, 0.4]), IntegratorSettings())
+    ok = flows._integrate_rows(X.rows, x0[[0, 2]], np.array([-0.3, 0.4]), IntegratorSettings())
+    assert np.max(np.abs(ok[:, 0] - [0.2, 1.3])) < 1e-9
+
+
+def test_inversion_evaluates_no_point_twice():
+    # each slice-time Newton step reads X(x) once, for c.X and as the first
+    # stage of its flow back: in the scalar inverse and in the probe batch
+    chart = _harmonic_chart()
+    evaluate, seen = chart.field.evaluate, []
+
+    def spy(x, derivative=False):
+        seen.append(np.asarray(x).tobytes())
+        return evaluate(x, derivative)
+
+    def spy_rows(xs):
+        seen.extend(x.tobytes() for x in xs)
+        return chart.field.rows(xs)
+
+    spied = dataclasses.replace(chart, field=VectorField(spy, 1, spy_rows))
+    p = chart.forward(np.array([0.3, -0.2]) * chart.domain_radius)
+    spied.inverse(p)
+    assert len(seen) > 20 and len(seen) == len(set(seen))
+    seen.clear()
+    probes = np.random.default_rng(2).uniform(-1.0, 1.0, size=(12, 2)) * chart.domain_radius
+    assert spied._probe_domain(probes)
+    assert len(seen) > 20 * len(probes) and len(seen) == len(set(seen))
