@@ -25,8 +25,8 @@ name the failing subexpression.  The field kernel's code also runs on
 numpy rows (hamiltonian_rows) with one finiteness test per call, where
 the float code's domain faults show as inf or NaN.  Kernel code comes
 from the tree alone (literals by repr, variables by index, functions
-from _FUNC_TABLE) and runs without builtins.  Finite differences appear nowhere in this module; they
-are reserved for test oracles.
+from _FUNC_TABLE) and runs without builtins.  Finite differences appear
+nowhere in this module; they are reserved for test oracles.
 """
 
 from __future__ import annotations

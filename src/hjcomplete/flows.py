@@ -160,7 +160,9 @@ def _combine(coefs: np.ndarray, K: np.ndarray) -> np.ndarray:
     return terms[0]
 
 
-def _integrate_rows(rhs, X0: np.ndarray, T: np.ndarray, settings: IntegratorSettings) -> np.ndarray:
+def _integrate_rows(
+    rhs, X0: np.ndarray, T: np.ndarray, settings: IntegratorSettings
+) -> np.ndarray:
     """_integrate from each row of X0 (P, n) to its own time T[i], with rhs
     taking a stack of rows: one lockstep loop of _integrate's tableau and
     step rule in which each row keeps its own step, error norm and
@@ -188,7 +190,8 @@ def _integrate_rows(rhs, X0: np.ndarray, T: np.ndarray, settings: IntegratorSett
                 try:
                     rhs(z[None])
                 except ArithmeticError as exc:
-                    raise FlowError(f"row {row}: field left its domain at t = {ti:.6e}: {exc}") from exc
+                    where = f"row {row}: field left its domain at t = {ti:.6e}"
+                    raise FlowError(f"{where}: {exc}") from exc
             raise
 
     if rows.size:

@@ -508,7 +508,8 @@ def _exact_arithmetic(node) -> bool:
         return False
     if isinstance(node, BinOp) and node.op == "^" and expr._integer_exponent(node.right) is None:
         return False
-    return all(_exact_arithmetic(c) for c in vars(node).values() if not isinstance(c, (str, int, float)))
+    children = (c for c in vars(node).values() if not isinstance(c, (str, int, float)))
+    return all(_exact_arithmetic(c) for c in children)
 
 
 @given(st.integers(1, 3).flatmap(_kernel_cases))

@@ -376,7 +376,6 @@ def test_dependent_frame_rejected():
         FlowBoxChart.build(np.zeros(4), _constant(np.zeros(4)))
 
 
-
 # ---------------------------------------------------------------------------
 # lockstep rows and one field evaluation per inversion step
 
@@ -400,7 +399,8 @@ def test_each_row_is_its_batch_of_one_and_its_scalar_flow():
     batch = flows._integrate_rows(X.rows, x0, times, settings)
     for i, t in enumerate(times):
         counts = {}
-        alone = flows._integrate_rows(_counted(X.rows, counts, "row"), x0[i : i + 1], times[i : i + 1], settings)
+        rows = _counted(X.rows, counts, "row")
+        alone = flows._integrate_rows(rows, x0[i : i + 1], times[i : i + 1], settings)
         assert np.array_equal(alone[0].view(np.int64), batch[i].view(np.int64))
         if t == 0.0:
             assert np.array_equal(alone[0], x0[i]) and counts == {}
