@@ -408,10 +408,11 @@ def check_assumptions(
 class FrameState:
     """Current commuting frame together with its chart tower.
 
-    fields hold the frame as honest phase-space vector fields: the first
-    is always the Hamiltonian field, later ones are procedural and have
-    no derivative.  They serve the checks; the charts do not
-    flow them: charts[j] (j >= 1) flows the column tower.columns[j] of the
+    fields hold the frame as phase-space vector fields, each the
+    hamiltonian_vf of a scalar: X_H, then X_{y_b} of each chosen tower
+    coordinate y_b.  Their derivative would be a finite difference, but
+    nothing asks for one: they serve the checks, and the charts do not
+    flow them.  charts[j] (j >= 1) flows the column tower.columns[j] of the
     parent level's Poisson matrix, with its exact Jacobian.  tower holds
     one chart per field, and assumptions the passed hypothesis check at
     the base point.
@@ -477,21 +478,6 @@ def init_frame(
         settings=settings,
         initial_radius=initial_radius,
     )
-
-
-def _lifted_x_field(tower: ChartTower, index: TowerIndex, b: int, dim_s: int) -> VectorField:
-    """The lifted coordinate field as a phase-space vector field.
-
-    Evaluation pulls x back to chart coordinates, reads the lifted field
-    off the tower's Poisson matrix, and pushes it forward again.
-    """
-    lam = tower.poissons[-1]
-
-    def evaluate(x: np.ndarray):
-        entry = index.solve(x)
-        return entry.jac @ lam(entry.coords)[:, b]
-
-    return VectorField(evaluate, dim_s)
 
 
 def _validate_frame_invariants(state: FrameState) -> np.ndarray:
@@ -567,15 +553,14 @@ def extend_frame(state: FrameState) -> FrameState:
     if numerical_rank(coeff[:, chosen], tol.rank) < r:
         raise FrameExtensionError("coefficient matrix has no invertible trailing block")
     tower = state.tower.with_permuted_tail(perm)
-
-    lam0 = tower.poissons[-1](np.zeros(n))
-    _, D0 = tower.forward_and_jacobian(np.zeros(n))
+    # the lift of tail coordinate y_b is X_{y_b}; one memoized solve at m reads all
+    coords = _integral_components(TowerIndex(tower).solve, 0, state.dimension_s)
 
     best_b, best_score = None, -np.inf
     deficits: dict[int, int] = {}
     want = r + 1 + state.kernel_basis.shape[1]
     for b in range(r, n - r):
-        candidate = D0 @ lam0[:, b]
+        candidate = hamiltonian_vf(coords[b], tol)(state.basepoint)
         stacked = np.column_stack([frame_vals, candidate, state.kernel_basis])
         sv = np.linalg.svd(unit_columns(stacked), compute_uv=False)
         rank = _rank(sv, tol.rank)
@@ -592,9 +577,6 @@ def extend_frame(state: FrameState) -> FrameState:
             "span of the frame and the fibre",
             {"rank_deficits": deficits, "target_rank": want},
         )
-
-    index = TowerIndex(tower)
-    new_field = _lifted_x_field(tower, index, best_b, state.dimension_s)
 
     # Next chart lives in the current tower coordinates, where the old
     # frame is the translations e_0..e_{r-1} and the new field is a column
@@ -614,11 +596,12 @@ def extend_frame(state: FrameState) -> FrameState:
             np.zeros(n), lifted, r, state.settings, tol, state.initial_radius
         )
     except ChartError as exc:
-        raise FrameExtensionError(f"chart construction failed: {exc}") from exc
+        message = f"level {r + 1} chart construction failed: {exc}"
+        raise FrameExtensionError(message) from exc
 
     return replace(
         state,
-        fields=state.fields + (new_field,),
+        fields=state.fields + (hamiltonian_vf(coords[best_b], tol),),
         tower=tower.extended(new_chart, best_b),
     )
 
@@ -854,6 +837,11 @@ class CompleteSolution:
 
     def _checked(self, n, lam) -> tuple[np.ndarray, np.ndarray]:
         n, lam = np.asarray(n, dtype=float), np.asarray(lam, dtype=float)
+        if n.shape != (self.k,) or lam.shape != (self.l,):
+            raise ValueError(
+                f"S takes n of shape ({self.k},) and lambda of shape ({self.l},), "
+                f"got {n.shape} and {lam.shape}"
+            )
         if not self.in_domain(n, lam):
             raise DomainBoxError("(n, lambda) outside the validated domain boxes")
         return n, lam

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjcomplete import construct
+from hjcomplete import construct, flows
 from hjcomplete.cli import main
 from hjcomplete.expr import ProceduralScalar
 from hjcomplete.scenarios import parse_config
@@ -117,26 +117,18 @@ def test_construct_artifacts_and_closed_form(tmp_path):
 
 
 def test_construct_is_deterministic(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = str(tmp_path / name)
-        code = main(
-            [
-                "construct",
-                "--config",
-                "scenario:free_particle_s1",
-                "--out",
-                out,
-                "--probes",
-                "8",
-            ]
-        )
-        assert code == 0
-        outs.append(out)
-    for artifact in ("report.json", "solution_grid.csv", "integrals_grid.csv"):
-        a = Path(outs[0], artifact).read_bytes()
-        b = Path(outs[1], artifact).read_bytes()
-        assert a == b, f"{artifact} differs between identical runs"
+    # harmonic_s2 has two tower levels, so its rerun also repeats a frame extension
+    for scenario, probes in (("free_particle_s1", "8"), ("harmonic_s2", "6")):
+        outs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / scenario / name)
+            argv = ["construct", "--config", f"scenario:{scenario}", "--probes", probes]
+            assert main(argv + ["--out", out]) == 0
+            outs.append(out)
+        for artifact in ("report.json", "solution_grid.csv", "integrals_grid.csv"):
+            a = Path(outs[0], artifact).read_bytes()
+            b = Path(outs[1], artifact).read_bytes()
+            assert a == b, f"{scenario}: {artifact} differs between identical runs"
 
 
 def test_construct_json_tables(tmp_path):
@@ -214,6 +206,29 @@ def test_construct_reports_failed_self_verification(tmp_path, monkeypatch, capsy
     }
     assert diagnostics["flow_drift"] == pytest.approx(1.218e-3, rel=1e-3)
     assert diagnostics["probes"] == 6
+
+
+def test_failed_frame_chart_names_its_level(tmp_path, monkeypatch, capsys):
+    # the second chart of free_particle_s2 fails: still a FrameExtensionError
+    # (exit 1, no diagnostics), named by its level as every chart failure is
+    build = flows.FlowBoxChart.build.__func__
+    calls = []
+
+    def failing_second(cls, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise flows.ChartError("no radius passed validation")
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(flows.FlowBoxChart, "build", classmethod(failing_second))
+    out = str(tmp_path / "run")
+    argv = ["construct", "--config", "scenario:free_particle_s2", "--probes", "6"]
+    assert main(argv + ["--out", out]) == 1
+    message = "level 2 chart construction failed: no radius passed validation"
+    assert f"construct: FAIL ({message})" in capsys.readouterr().out
+    report = _report(out)
+    assert report["error"] == {"type": "FrameExtensionError", "message": message}
+    assert "diagnostics" not in report
 
 
 def test_numerical_breakdown_exits_two(tmp_path, capsys):

@@ -25,7 +25,6 @@ from hjcomplete.construct import (
     _canonical_poisson,
     _integral_components,
     _level_poisson,
-    _lifted_x_field,
     _slice_inverse,
     build_fibration,
     build_first_integrals,
@@ -233,7 +232,7 @@ def test_extended_frame_commutes(harmonic_s2):
     assert abs(omega(vals[:, 0], vals[:, 1])) < 1e-8
     assert numerical_rank(vals, TOL.rank) == 2
     # the defining property of the extension: the fields commute; the
-    # lifted field has no derivative, so the bracket is a central difference
+    # lifted field's derivative is a central difference, so the bracket is too
     DX1, DX2 = (fd_jacobian(X, m, TOL.fd_step) for X in (X1, X2))
     assert np.max(np.abs(DX2 @ X1(m) - DX1 @ X2(m))) < 1e-6
     assert len(state.tower.columns) == 2 and state.tower.columns[0] is None
@@ -308,14 +307,19 @@ def test_tower_coordinate_differential_is_inverse_jacobian_row(harmonic_s2):
 
 
 def test_lifted_field_is_hamiltonian_field_of_coordinate(harmonic_s2):
-    # the lift of y_b, read off the tower's Poisson matrix, is J dy_b^T
+    # the frame's second field, X_{y_b} = J dy_b^T of the chosen level-1
+    # coordinate, is the column b of the level-1 Poisson matrix that
+    # charts[1] flows, pushed forward through charts[0]
     _, _, _, F, _ = harmonic_s2
-    tower, index = F.state.tower, F.index
+    tower = F.state.tower
+    b = tower.columns[1]
+    level1 = construct.ChartTower(tower.charts[:1], tower.poissons[:2], (None,), 2)
+    index = TowerIndex(level1)
     for x in F.sample_points(3, seed=19):
-        dy = index.solve(x).jac_inv
-        for b in range(4):
-            lifted = _lifted_x_field(tower, index, b, 2)
-            assert np.max(np.abs(lifted(x) - apply_structure(dy[b]))) < 1e-8
+        entry, field = index.solve(x), F.state.fields[1](x)
+        lifted = entry.jac @ tower.poissons[1](entry.coords)[:, b]
+        assert np.max(np.abs(field - lifted)) < 1e-8
+        assert np.array_equal(field, apply_structure(entry.jac_inv[b]))
 
 
 def test_integrals_are_independent_of_query_order(harmonic_s2):
@@ -1297,6 +1301,23 @@ def test_solution_domain_is_enforced(free_s1):
         solution(n_out, lam_mid)
 
 
+@pytest.mark.parametrize("query", ["scalar n", "short lambda", "long n"])
+def test_solution_refuses_malformed_queries(harmonic_s2, query):
+    # a scalar n must not broadcast to (n, n), and a short lambda must not
+    # end in a raw matmul error
+    *_, solution = harmonic_s2
+    n, lam = solution.n_box.mean(axis=1), solution.lambda_box.mean(axis=1)
+    n, lam = {
+        "scalar n": (n[0], lam),
+        "short lambda": (n, lam[:1]),
+        "long n": (np.append(n, n[0]), lam),
+    }[query]
+    expected = r"^S takes n of shape \(2,\) and lambda of shape \(2,\), got"
+    for call in (solution, solution.jacobian):
+        with pytest.raises(ValueError, match=expected):
+            call(n, lam)
+
+
 def test_sample_domain_is_seeded(free_s1):
     _, _, _, _, solution = free_s1
     a = solution.sample_domain(5, seed=3)
@@ -1400,11 +1421,14 @@ def test_integrals_from_solution_make_one_newton_solve_per_point(monkeypatch):
 
 def _build_with_gradients(monkeypatch, gradients):
     """free_particle_s2 built with integrals whose gradients are the given
-    fields of x = (q1, q2, p1, p2); the build checks dF only."""
+    fields of x = (q1, q2, p1, p2); the build checks dF only.  The frame
+    extension reads its candidates off every coordinate (k = 0), which
+    stay real."""
+    real = construct._integral_components
     monkeypatch.setattr(
         construct,
         "_integral_components",
-        lambda solve, k, dim_s: tuple(
+        lambda solve, k, dim_s: real(solve, k, dim_s) if k == 0 else tuple(
             ProceduralScalar(lambda x: 0.0, g, dim_s) for g in gradients
         ),
     )
@@ -1683,6 +1707,7 @@ def _log_hamiltonians(draw):
 @settings(max_examples=4, derandomize=True)
 @given(_log_hamiltonians())
 @example((1, "p1^2/2 + log(q1)", (0.3, 1.0)))
+@example((2, "0.001*q2 + 0.001*p1 + p1^2/2 + 0.0*log(q1 + 0.05)", (0.0, 0.0, 0.0, 0.0)))
 def test_random_log_hamiltonians_construct_or_fail_by_name(case):
     # a flow that leaves the log's domain fails as a probe: the run passes,
     # or ends in a typed error named by its stage, never in a raw domain error
